@@ -17,7 +17,7 @@
 //               graceful-degradation ladder up and back down
 //   recovery  — a recorded shard trace truncated at the symbol section
 //               (what a crash leaves behind) must replay its full prefix
-//               byte-identically through both transports
+//               byte-identically
 //   replay    — the same --fault-seed on the sim backend twice must
 //               reproduce the identical per-shard fault schedule
 //
@@ -49,7 +49,7 @@
 
 #include "BenchReport.h"
 
-#include "ag/Builder.h"
+#include "ag/IngestHub.h"
 #include "apps/cluster/Harness.h"
 #include "instr/TraceCodec.h"
 #include "support/TraceFormat.h"
@@ -224,10 +224,22 @@ struct RecoveryOutcome {
   bool Ok = false;
 };
 
+/// Ingests \p Path into a bare builder; false with \p Err set on failure.
+bool ingestDot(const std::string &Path, std::string &Dot,
+               ag::IngestStreamStats &Stats, std::string &Err) {
+  ag::IngestHub Hub;
+  Hub.addFile(Path);
+  if (!Hub.run(&Err))
+    return false;
+  Dot = viz::toDot(Hub.graph());
+  Stats = Hub.stats().Streams.front();
+  return true;
+}
+
 /// Truncates \p TracePath the way a crash between the last frame flush and
 /// finalize() would (cut at the symbol section, header counts still the
 /// zero placeholder) and checks the recovered replay reproduces the
-/// pristine replay's DOT byte-for-byte through both transports.
+/// pristine replay's DOT byte-for-byte.
 RecoveryOutcome runRecoveryCell(const std::string &TracePath) {
   RecoveryOutcome Out;
   std::vector<uint8_t> Full = slurpBytes(TracePath);
@@ -244,13 +256,12 @@ RecoveryOutcome runRecoveryCell(const std::string &TracePath) {
     return Out;
   }
 
-  ag::AsyncGBuilder Pristine;
-  std::string Err;
-  if (!instr::replayTrace(TracePath, Pristine, &Err)) {
+  std::string Want, Err;
+  ag::IngestStreamStats Stats;
+  if (!ingestDot(TracePath, Want, Stats, Err)) {
     std::printf("  [recovery] pristine replay failed: %s\n", Err.c_str());
     return Out;
   }
-  std::string Want = viz::toDot(Pristine.graph());
 
   std::vector<uint8_t> Torn(Full.begin(),
                             Full.begin() +
@@ -261,25 +272,17 @@ RecoveryOutcome runRecoveryCell(const std::string &TracePath) {
   if (!spitBytes(TornPath, Torn))
     return Out;
 
-  Out.Ok = true;
-  for (auto T :
-       {instr::ReplayTransport::Stdio, instr::ReplayTransport::Mmap}) {
-    ag::AsyncGBuilder B;
-    instr::ReplayStats Stats;
-    if (!instr::replayTrace(TornPath, B, &Err, T, &Stats)) {
-      std::printf("  [recovery] torn replay failed: %s\n", Err.c_str());
-      Out.Ok = false;
-      break;
-    }
-    bool DotMatch = viz::toDot(B.graph()) == Want;
-    if (!Stats.Recovered || Stats.DroppedTailBytes != 0 || !DotMatch) {
-      std::printf("  [recovery] transport %d: recovered=%d dropped=%llu "
-                  "dot_match=%d\n",
-                  static_cast<int>(T), Stats.Recovered ? 1 : 0,
+  std::string Dot;
+  if (!ingestDot(TornPath, Dot, Stats, Err)) {
+    std::printf("  [recovery] torn replay failed: %s\n", Err.c_str());
+  } else {
+    bool DotMatch = Dot == Want;
+    Out.Ok = Stats.Recovered && Stats.DroppedTailBytes == 0 && DotMatch;
+    if (!Out.Ok)
+      std::printf("  [recovery] recovered=%d dropped=%llu dot_match=%d\n",
+                  Stats.Recovered ? 1 : 0,
                   static_cast<unsigned long long>(Stats.DroppedTailBytes),
                   DotMatch ? 1 : 0);
-      Out.Ok = false;
-    }
     Out.Records = Stats.Records;
     Out.DroppedTailBytes = Stats.DroppedTailBytes;
   }

@@ -13,12 +13,14 @@
 //   speed  — time to get the recorded events back out of each file.
 //            Measured at two levels:
 //              ingest — the record-decode stage alone: file bytes back
-//                       into the TraceRecord stream, v3 buffered stdio
-//                       vs v4 zero-copy mmap frame decode. Timed warm
+//                       into the TraceRecord stream, v3 rows through a
+//                       plain buffered fread loop vs v4 zero-copy mmap
+//                       frame decode. Timed warm
 //                       (page cache hot, best of N) and cold (page cache
 //                       dropped via posix_fadvise before every pass,
 //                       median of N).
-//              replay — full pipeline into AsyncGBuilder + DetectorSuite.
+//              replay — full ingest (ag::IngestHub, jobs 1) into the
+//                       graph builder + DetectorSuite.
 //                       Reported, not gated: graph + detector work
 //                       dominates and is identical for both encodings.
 //
@@ -52,7 +54,7 @@
 
 #include "BenchReport.h"
 
-#include "ag/Builder.h"
+#include "ag/IngestHub.h"
 #include "apps/acmeair/App.h"
 #include "apps/acmeair/Workload.h"
 #include "detect/Detectors.h"
@@ -63,6 +65,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -95,24 +98,34 @@ void dropCaches(const std::string &Path) {
 
 /// One pass of the record-decode stage only: file bytes back into the
 /// TraceRecord stream — exactly the layer the codec version changes.
-/// v3 streams raw rows through the buffered reader; v4 decodes columnar
-/// frames straight out of the mapping. The opcode checksum keeps the
-/// decode observable (and doubles as a cross-version sanity check).
+/// v3 raw rows are the in-memory layout, so a buffered fread of the record
+/// section is their whole decode; v4 decodes columnar frames straight out
+/// of the mapping. The opcode checksum keeps the decode observable (and
+/// doubles as a cross-version sanity check).
 double ingestOnce(const std::string &Path, bool V4, uint64_t &Check) {
   uint64_t Sum = 0;
   std::string Err;
   auto T0 = std::chrono::steady_clock::now();
   if (!V4) {
-    trace::TraceFileReader Reader;
-    if (!Reader.open(Path, &Err)) {
-      std::fprintf(stderr, "ingest open %s failed: %s\n", Path.c_str(),
-                   Err.c_str());
+    std::FILE *F = std::fopen(Path.c_str(), "rb");
+    trace::TraceFileHeader H;
+    if (!F || std::fread(&H, sizeof(H), 1, F) != 1 ||
+        std::memcmp(H.Magic, trace::TraceMagic, sizeof(H.Magic)) != 0) {
+      std::fprintf(stderr, "ingest open %s failed\n", Path.c_str());
       std::exit(1);
     }
     trace::TraceRecord Buf[4096];
-    while (size_t N = Reader.read(Buf, 4096))
+    for (uint64_t Left = H.RecordCount; Left != 0;) {
+      size_t N = Left < 4096 ? static_cast<size_t>(Left) : 4096;
+      if (std::fread(Buf, sizeof(trace::TraceRecord), N, F) != N) {
+        std::fprintf(stderr, "ingest read %s failed\n", Path.c_str());
+        std::exit(1);
+      }
       for (size_t I = 0; I < N; ++I)
         Sum += Buf[I].Op;
+      Left -= N;
+    }
+    std::fclose(F);
   } else {
     trace::TraceMmapReader Map;
     if (!Map.open(Path, &Err)) {
@@ -173,31 +186,32 @@ double medianColdIngest(const std::string &Path, bool V4, int Reps) {
   return T[T.size() / 2];
 }
 
-/// Replays \p Path into a fresh builder + detectors; returns the wall
-/// seconds of the replay call and the graph's DOT rendering.
-double replayOnce(const std::string &Path, instr::ReplayTransport Transport,
-                  instr::ReplayStats &Stats, std::string *Dot) {
-  ag::AsyncGBuilder Builder;
+/// Ingests \p Path into a fresh builder + detectors; returns the wall
+/// seconds of the ingest and the graph's DOT rendering.
+double replayOnce(const std::string &Path, ag::IngestStreamStats &Stats,
+                  std::string *Dot) {
+  ag::IngestHub Hub;
   detect::DetectorSuite Detectors;
-  Detectors.attachTo(Builder);
+  Detectors.attachTo(Hub.builder(Hub.addFile(Path)));
   std::string Err;
   auto T0 = std::chrono::steady_clock::now();
-  if (!instr::replayTrace(Path, Builder, &Err, Transport, &Stats)) {
+  if (!Hub.run(&Err)) {
     std::fprintf(stderr, "replay of %s failed: %s\n", Path.c_str(),
                  Err.c_str());
     std::exit(1);
   }
   double Secs = secondsSince(T0);
+  Stats = Hub.stats().Streams.front();
   if (Dot)
-    *Dot = viz::toDot(Builder.graph());
+    *Dot = viz::toDot(Hub.graph());
   return Secs;
 }
 
-double bestReplay(const std::string &Path, instr::ReplayTransport Transport,
-                  int Reps, instr::ReplayStats &Stats, std::string *Dot) {
+double bestReplay(const std::string &Path, int Reps,
+                  ag::IngestStreamStats &Stats, std::string *Dot) {
   double Best = 1e30;
   for (int I = 0; I < Reps; ++I) {
-    double S = replayOnce(Path, Transport, Stats, I == 0 ? Dot : nullptr);
+    double S = replayOnce(Path, Stats, I == 0 ? Dot : nullptr);
     if (S < Best)
       Best = S;
   }
@@ -276,12 +290,10 @@ int main(int argc, char **argv) {
       BytesV4 ? static_cast<double>(BytesV3) / static_cast<double>(BytesV4)
               : 0;
 
-  instr::ReplayStats StatsV3, StatsV4;
+  ag::IngestStreamStats StatsV3, StatsV4;
   std::string DotV3, DotV4;
-  double ReplayV3 = bestReplay(V3Path, instr::ReplayTransport::Stdio, Reps,
-                               StatsV3, &DotV3);
-  double ReplayV4 = bestReplay(V4Path, instr::ReplayTransport::Mmap, Reps,
-                               StatsV4, &DotV4);
+  double ReplayV3 = bestReplay(V3Path, Reps, StatsV3, &DotV3);
+  double ReplayV4 = bestReplay(V4Path, Reps, StatsV4, &DotV4);
   double Speedup = ReplayV4 > 0 ? ReplayV3 / ReplayV4 : 0;
   bool Parity = DotV3 == DotV4 && StatsV3.Records == StatsV4.Records &&
                 StatsV3.BadRecords == 0 && StatsV4.BadRecords == 0;
@@ -323,13 +335,13 @@ int main(int argc, char **argv) {
               Records ? static_cast<double>(BytesV4) / Records : 0.0);
   std::printf("%-28s %13.2fx  (acceptance: >= 4x)\n", "size ratio v3/v4",
               SizeRatio);
-  std::printf("%-28s %11.2f ms  (stdio, best of %d)\n", "v3 ingest warm",
+  std::printf("%-28s %11.2f ms  (fread, best of %d)\n", "v3 ingest warm",
               IngestV3 * 1e3, Reps);
   std::printf("%-28s %11.2f ms  (mmap zero-copy, best of %d)\n",
               "v4 ingest warm", IngestV4 * 1e3, Reps);
   std::printf("%-28s %13.2fx\n", "warm ingest speedup", IngestSpeedup);
   if (!ParityOnly) {
-    std::printf("%-28s %11.2f ms  (stdio, median of %d cold passes)\n",
+    std::printf("%-28s %11.2f ms  (fread, median of %d cold passes)\n",
                 "v3 ingest cold", ColdV3 * 1e3, Reps);
     std::printf("%-28s %11.2f ms  (mmap, median of %d cold passes)\n",
                 "v4 ingest cold", ColdV4 * 1e3, Reps);

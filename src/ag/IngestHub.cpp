@@ -78,33 +78,23 @@ struct IngestHub::Stream {
   std::string Path;
   std::unique_ptr<AsyncGBuilder> Builder;
 
-  /// Keeps the mapping (and with it Base) alive for the hub's lifetime.
-  trace::TraceMmapReader Map;
-  instr::TraceDecoder Decoder;
-
-  /// Frame plan from the pre-scan. Offsets are relative to Base, which is
-  /// the record section for validated streams and the whole image for
-  /// recovery scans. Never shrunk after prepare (decode workers read it);
+  /// The file image and its batch plan, alive for the hub's lifetime.
+  /// Plan.Frames is never shrunk after prepare (decode workers read it);
   /// truncation lowers Limit instead.
-  std::vector<trace::TraceFrameRef> Frames;
-  const uint8_t *Base = nullptr;
-  uint64_t ImageSize = 0;
+  trace::TracePlan Plan;
+  instr::TraceDecoder Decoder;
   size_t Limit = 0;
 
   size_t NextFrame = 0;  ///< next frame to commit (in order)
   size_t NextQueued = 0; ///< next frame to hand to the decode pool
   uint64_t WindowBase = 0;
 
-  bool Recovered = false;
-  bool Fallback = false;
   bool Drained = false;
-  std::vector<SymbolId> RecoveryRemap;
   uint32_t RemapInstalled = 0;
-  trace::TraceRecoveryInfo Recovery;
 
-  /// Scratch for paths that materialize a frame before applying it
-  /// (recovered streams at Jobs == 1: a half-decoded frame must not leak
-  /// events into the builder).
+  /// Scratch for batches materialized before they are applied at
+  /// Jobs == 1: raw rows, and recovered frames (a half-decoded frame must
+  /// not leak events into the builder).
   std::vector<trace::TraceRecord> Scratch;
 
   /// Handoff-stat scan cursor into the builder graph's node storage.
@@ -149,7 +139,7 @@ struct IngestHub::DecodePool {
     if (!Queue.tryPop(T))
       return false;
     Stream::Slot &SL = T.S->Slots[T.FrameIdx % T.S->Slots.size()];
-    bool Ok = decodeFrameInto(*T.S, T.FrameIdx, SL.Records, &SL.Err);
+    bool Ok = T.S->Plan.decode(T.FrameIdx, SL.Records, &SL.Err);
     SL.State.store(Ok ? SlotDone : SlotError, std::memory_order_release);
     Cv.notify_all();
     return true;
@@ -213,74 +203,25 @@ const AsyncGraph &IngestHub::graph() const {
   return Streams.front()->Builder->graph();
 }
 
-bool IngestHub::decodeFrameInto(const Stream &S, size_t FrameIdx,
-                                std::vector<trace::TraceRecord> &Out,
-                                std::string *Err) {
-  const trace::TraceFrameRef &F = S.Frames[FrameIdx];
-  Out.clear();
-  Out.reserve(F.Records);
-  size_t Consumed = 0;
-  if (!trace::decodeV4Frame(
-          S.Base + F.Offset, F.Bytes, Consumed,
-          [&Out](const trace::TraceRecord &R) { Out.push_back(R); }, Err))
-    return false;
-  if (Consumed != F.Bytes) {
-    if (Err)
-      *Err = "corrupt trace: frame size disagrees with scan";
-    return false;
-  }
-  return true;
-}
-
 bool IngestHub::prepareStream(Stream &S, std::string *Err) {
   IngestStreamStats &St = Stats.Streams[S.Idx];
-  std::string OpenErr;
-  if (S.Map.open(S.Path, &OpenErr)) {
-    St.Version = S.Map.header().Version;
-    if (St.Version <= trace::TraceLastRawVersion) {
-      // Raw rows have no frames to parallelize; replayTrace is already the
-      // best path for them.
-      S.Fallback = true;
-      St.Fallback = true;
-      return true;
-    }
-    S.Base = S.Map.recordData();
-    S.ImageSize = S.Map.size();
-    if (!trace::scanV4Frames(S.Base, S.Map.recordByteSize(),
-                             S.Map.header().RecordCount, S.Frames, Err))
-      return false; // validated images never trip this
-    S.Decoder.setSymbolRemap(S.Map.symbolRemap());
-    St.RecordBytes = S.Map.recordByteSize();
-    adviseWillNeed(S.Base, static_cast<size_t>(S.Map.recordByteSize()));
-  } else if (OpenErr == "mmap unavailable on this platform" ||
-             OpenErr == "cannot open trace file" ||
-             OpenErr == "cannot mmap trace file") {
-    // Not a content problem; replayTrace's stdio path handles (or properly
-    // reports) these.
-    S.Fallback = true;
-    St.Fallback = true;
-    return true;
-  } else {
-    // Validation failed: torn recording. Locate the clean frame prefix
-    // through the checkpoint chain; if the image is not recoverable v4
-    // either, fall back so replayTrace reports the original failure.
-    if (!S.Map.openRaw(S.Path, nullptr) ||
-        !trace::scanV4Recovery(S.Map.data(), S.Map.size(), S.Frames,
-                               S.RecoveryRemap, &S.Recovery, nullptr)) {
-      S.Fallback = true;
-      St.Fallback = true;
-      return true;
-    }
-    S.Recovered = true;
-    St.Recovered = true;
-    St.Version = trace::TraceVersion;
-    St.DroppedTailBytes = S.Recovery.DroppedBytes;
-    S.Base = S.Map.data();
-    S.ImageSize = S.Map.size();
-    adviseWillNeed(S.Base, static_cast<size_t>(S.ImageSize));
+  trace::TracePlan &P = S.Plan;
+  std::string PlanErr;
+  if (!P.open(S.Path, &PlanErr)) {
+    if (Err)
+      *Err = S.Path + ": " + PlanErr;
+    return false;
   }
+  St.Version = P.Version;
+  St.Recovered = P.Recovered;
+  St.RecordBytes = P.RecordBytes;
+  St.DroppedTailBytes = P.Recovery.DroppedBytes;
+  if (!P.Recovered)
+    S.Decoder.setSymbolRemap(P.Remap);
+  adviseWillNeed(P.Base, static_cast<size_t>(P.Image.data() + P.Image.size() -
+                                             P.Base));
 
-  S.Limit = S.Frames.size();
+  S.Limit = P.Frames.size();
   if (Opts.PreSize) {
     // Pre-size the graph (node/edge/tick/adjacency storage and the four
     // node indices) and the decoder's function table from the exact record
@@ -289,9 +230,7 @@ bool IngestHub::prepareStream(Stream &S, std::string *Err) {
     // and record:funcdef (~12) ratios of the paper workloads so the
     // *last* — and costliest — rehash/reallocation never happens
     // mid-ingest.
-    uint64_t Records = 0;
-    for (const trace::TraceFrameRef &F : S.Frames)
-      Records += F.Records;
+    uint64_t Records = P.Records;
     if (Opts.Builder.BuildGraph)
       S.Builder->graph().reserveHint(
           static_cast<size_t>(Records / 2 + 1024),
@@ -305,56 +244,33 @@ bool IngestHub::prepareStream(Stream &S, std::string *Err) {
 }
 
 void IngestHub::syncRemap(Stream &S, const trace::TraceFrameRef &F) {
-  if (!S.Recovered || F.RemapSize == S.RemapInstalled)
+  if (!S.Plan.Recovered || F.RemapSize == S.RemapInstalled)
     return;
   S.Decoder.setSymbolRemap(std::vector<SymbolId>(
-      S.RecoveryRemap.begin(), S.RecoveryRemap.begin() + F.RemapSize));
+      S.Plan.Remap.begin(), S.Plan.Remap.begin() + F.RemapSize));
   S.RemapInstalled = F.RemapSize;
 }
 
 bool IngestHub::handleBadFrame(Stream &S, size_t FrameIdx,
                                const std::string &FrameErr, std::string *Err) {
-  if (!S.Recovered) {
+  trace::TracePlan &P = S.Plan;
+  if (!P.Recovered) {
     if (Err)
       *Err = S.Path + ": " + FrameErr;
     return false;
   }
   // Clean-prefix guarantee: a recovered frame whose varint streams fail to
-  // decode is dropped with everything after it, exactly where
-  // recoverV4Prefix would have stopped. Frames stays intact for in-flight
-  // decode workers; Limit carries the truncation.
+  // decode is dropped with everything after it. Frames stays intact for
+  // in-flight decode workers; Limit carries the truncation.
   S.Limit = FrameIdx;
-  S.Recovery.TailError = FrameErr;
-  S.Recovery.DroppedBytes = S.ImageSize - S.Frames[FrameIdx].Offset;
-  Stats.Streams[S.Idx].DroppedTailBytes = S.Recovery.DroppedBytes;
+  P.Recovery.TailError = FrameErr;
+  P.Recovery.DroppedBytes = P.Image.size() - P.Frames[FrameIdx].Offset;
+  Stats.Streams[S.Idx].DroppedTailBytes = P.Recovery.DroppedBytes;
   return true;
 }
 
 bool IngestHub::pumpStream(Stream &S, std::string *Err) {
   IngestStreamStats &St = Stats.Streams[S.Idx];
-
-  if (S.Fallback) {
-    // Whole-stream replay in this stream's first turn: raw traces carry no
-    // frame structure to window over, and the merge result is independent
-    // of interleaving anyway.
-    instr::ReplayStats RS;
-    std::string RErr;
-    if (!instr::replayTrace(S.Path, *S.Builder, &RErr,
-                            instr::ReplayTransport::Auto, &RS)) {
-      if (Err)
-        *Err = S.Path + ": " + RErr;
-      return false;
-    }
-    St.Version = RS.Version;
-    St.Records = RS.Records;
-    St.RecordBytes = RS.RecordBytes;
-    St.BadRecords = RS.BadRecords;
-    St.Recovered = RS.Recovered;
-    St.DroppedTailBytes = RS.DroppedTailBytes;
-    Stats.Records += RS.Records;
-    S.Drained = true;
-    return true;
-  }
 
   S.WindowBase = S.Builder->ticksCommitted();
   const bool Windowed = Streams.size() > 1;
@@ -363,7 +279,7 @@ bool IngestHub::pumpStream(Stream &S, std::string *Err) {
     S.Builder->onBatchBoundary();
     St.Records += N;
     ++St.Frames;
-    if (S.Recovered)
+    if (S.Plan.Recovered)
       St.RecordBytes += F.Bytes;
     Stats.Records += N;
     ++Stats.Frames;
@@ -373,23 +289,25 @@ bool IngestHub::pumpStream(Stream &S, std::string *Err) {
            S.Builder->ticksCommitted() - S.WindowBase >= Opts.WindowTicks;
   };
 
+  const trace::TracePlan &P = S.Plan;
   if (Opts.Jobs < 2) {
     // Inline pipelined path: frames decode straight out of the mapping
     // under the batch memo, with the next frame prefetched during apply.
+    const bool Materialize = P.Recovered || P.rawRows();
     while (S.NextFrame < S.Limit) {
-      const trace::TraceFrameRef &F = S.Frames[S.NextFrame];
+      const trace::TraceFrameRef &F = P.Frames[S.NextFrame];
       syncRemap(S, F);
       if (S.NextFrame + 1 < S.Limit)
-        prefetchFrame(S.Base + S.Frames[S.NextFrame + 1].Offset,
-                      S.Frames[S.NextFrame + 1].Bytes);
+        prefetchFrame(P.Base + P.Frames[S.NextFrame + 1].Offset,
+                      P.Frames[S.NextFrame + 1].Bytes);
       std::string FrameErr;
       bool Ok;
       uint64_t Emitted = 0;
       size_t Consumed = 0;
-      if (!S.Recovered) {
+      if (!Materialize) {
         S.Decoder.beginBatch();
         Ok = trace::decodeV4Frame(
-            S.Base + F.Offset, F.Bytes, Consumed,
+            P.Base + F.Offset, F.Bytes, Consumed,
             [&](const trace::TraceRecord &R) {
               S.Decoder.decodeOne(R, *S.Builder);
               ++Emitted;
@@ -398,8 +316,9 @@ bool IngestHub::pumpStream(Stream &S, std::string *Err) {
         S.Decoder.endBatch();
       } else {
         // A torn stream's frame may fail mid-decode; materialize it first
-        // so the builder only ever sees whole frames.
-        Ok = decodeFrameInto(S, S.NextFrame, S.Scratch, &FrameErr);
+        // so the builder only ever sees whole frames. Raw rows are copied
+        // out of the image too, rather than read through a pointer cast.
+        Ok = P.decode(S.NextFrame, S.Scratch, &FrameErr);
         if (Ok) {
           S.Decoder.decodeBatch(S.Scratch.data(), S.Scratch.size(),
                                 *S.Builder);
@@ -421,7 +340,7 @@ bool IngestHub::pumpStream(Stream &S, std::string *Err) {
     while (S.NextFrame < S.Limit) {
       // Keep the decode window primed: up to W frames in flight.
       bool Pushed = false;
-      while (S.NextQueued < S.Frames.size() &&
+      while (S.NextQueued < P.Frames.size() &&
              S.NextQueued < S.NextFrame + W) {
         Stream::Slot &QS = S.Slots[S.NextQueued % W];
         QS.State.store(SlotQueued, std::memory_order_relaxed);
@@ -438,7 +357,7 @@ bool IngestHub::pumpStream(Stream &S, std::string *Err) {
       Stream::Slot &SL = S.Slots[S.NextFrame % W];
       int State = SL.State.load(std::memory_order_acquire);
       if (State == SlotDone) {
-        const trace::TraceFrameRef &F = S.Frames[S.NextFrame];
+        const trace::TraceFrameRef &F = P.Frames[S.NextFrame];
         syncRemap(S, F);
         S.Decoder.decodeBatch(SL.Records.data(), SL.Records.size(),
                               *S.Builder);

@@ -28,8 +28,9 @@
 ///    its next-needed slot is still pending it steals a decode task
 ///    itself instead of blocking. Ordered commit keeps the decoder's
 ///    cross-frame state (api assembly, symbol remap, function table)
-///    exactly as serial replay would have it, so DOT output and warning
-///    sets are byte-identical to replayTrace() at any job count.
+///    exactly as a single-threaded apply would have it, so DOT output and
+///    warning sets are byte-identical at any job count — and to the live
+///    in-process build of the recorded run.
 ///
 ///  - Streaming merge. N input streams (e.g. one per cluster shard) are
 ///    ingested in bounded round-robin tick windows, each stream feeding
@@ -44,12 +45,14 @@
 ///    ids) for live stats; the authoritative "xloop" edges still come
 ///    from the final merge.
 ///
-/// Torn streams (crash recordings) take the recovery pre-scan
-/// (scanV4Recovery): frames are located with per-frame symbol-remap
-/// snapshots and decoded through the same pipeline; a frame that fails to
-/// decode truncates the stream there, mirroring recoverV4Prefix's
-/// clean-prefix guarantee. Raw v1..v3 traces — no frames to parallelize —
-/// fall back to replayTrace() per stream.
+/// The hub is the only path from an `.agtrace` file to events; every file
+/// is opened and planned by trace::TracePlan. Torn streams (crash
+/// recordings) take the recovery pre-scan (scanV4Recovery): frames are
+/// located with per-frame symbol-remap snapshots and decoded through the
+/// same pipeline; a frame that fails to decode truncates the stream there,
+/// so only a clean frame-aligned prefix is ever applied. Raw v1..v3 traces
+/// plan as batches of rows that need no decode and go through the same
+/// ordered apply.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,9 +100,6 @@ struct IngestStreamStats {
   /// checkpoint chain (Records/RecordBytes then describe the prefix).
   bool Recovered = false;
   uint64_t DroppedTailBytes = 0;
-  /// Stream went through replayTrace() (raw v1..v3, or no mmap) rather
-  /// than the frame pipeline.
-  bool Fallback = false;
 };
 
 /// Whole-run counters.
@@ -166,16 +166,12 @@ private:
   struct Stream;
   struct DecodePool;
 
-  /// Classifies \p S (validated v4 / recovered v4 / fallback) and runs
-  /// its pre-scan. Returns false with \p Err on unrecoverable failure.
+  /// Plans \p S (validated v4 / recovered v4 / raw rows) and pre-sizes
+  /// its builder. Returns false with \p Err on unrecoverable failure.
   bool prepareStream(Stream &S, std::string *Err);
   /// Commits frames of \p S until the tick window closes or the stream
   /// drains. Returns false with \p Err on unrecoverable failure.
   bool pumpStream(Stream &S, std::string *Err);
-  /// Decodes one located frame into \p Out (worker-side half; stateless).
-  static bool decodeFrameInto(const Stream &S, size_t FrameIdx,
-                              std::vector<trace::TraceRecord> &Out,
-                              std::string *Err);
   /// Applies the truncate-or-fail policy for a frame whose varint streams
   /// failed to decode. Returns true when the stream was truncated
   /// (recovered streams), false for a hard error (validated streams).

@@ -446,7 +446,7 @@ void TraceDecoder::feed(const TraceRecord &R, AnalysisBase &Sink) {
 }
 
 //===----------------------------------------------------------------------===//
-// TraceRecorder + replay
+// TraceRecorder
 //===----------------------------------------------------------------------===//
 
 bool TraceRecorder::open(const std::string &Path, uint32_t Shard,
@@ -504,216 +504,4 @@ void TraceRecorder::onObjectRelease(const ObjectReleaseEvent &E) {
 void TraceRecorder::onLoopEnd(const LoopEndEvent &E) {
   Encoder.loopEnd(E, Scratch);
   flushScratch();
-}
-
-namespace {
-
-/// Replays a torn/truncated v4 image through the checkpoint-recovery
-/// scanner: whole frames only, symbol remap grown from the interleaved
-/// checkpoints. Shared by both transports' fallback paths.
-bool replayRecovered(const uint8_t *Bytes, uint64_t Size, AnalysisBase &Sink,
-                     std::string *Err, ReplayStats *Stats) {
-  TraceDecoder Decoder;
-  std::vector<SymbolId> Remap;
-  size_t Mapped = 0;
-  trace::TraceRecoveryInfo Info;
-  bool Ok = trace::recoverV4Prefix(
-      Bytes, Size, Remap,
-      [&](const trace::TraceRecord *R, size_t N) {
-        if (Remap.size() != Mapped) {
-          Decoder.setSymbolRemap(Remap);
-          Mapped = Remap.size();
-        }
-        for (size_t I = 0; I != N; ++I)
-          Decoder.decodeOne(R[I], Sink);
-        // Frame boundary: the retirement safe point, as in normal replay.
-        Sink.onBatchBoundary();
-      },
-      &Info, Err);
-  if (Ok && Stats) {
-    Stats->Records = Info.Records;
-    Stats->RecordBytes = Info.RecordBytes;
-    Stats->BadRecords = Decoder.badRecords();
-    Stats->Version = trace::TraceVersion;
-    Stats->Recovered = true;
-    Stats->DroppedTailBytes = Info.DroppedBytes;
-  }
-  return Ok;
-}
-
-bool slurpFile(const std::string &Path, std::vector<uint8_t> &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  bool Ok = std::fseek(F, 0, SEEK_END) == 0;
-  long Size = Ok ? std::ftell(F) : -1;
-  Ok = Ok && Size >= 0 && std::fseek(F, 0, SEEK_SET) == 0;
-  if (Ok) {
-    Out.resize(static_cast<size_t>(Size));
-    Ok = Out.empty() ||
-         std::fread(Out.data(), 1, Out.size(), F) == Out.size();
-  }
-  std::fclose(F);
-  return Ok;
-}
-
-bool replayStdio(const std::string &Path, AnalysisBase &Sink,
-                 std::string *Err, ReplayStats *Stats) {
-  TraceFileReader Reader;
-  std::string OpenErr;
-  if (!Reader.open(Path, &OpenErr)) {
-    // Strict open refused the file — a recording cut off by a crash never
-    // got its symbol section or header counts. Salvage the clean
-    // frame-aligned prefix from the checkpoint chain; if the image is not
-    // recoverable v4 either, report the original failure.
-    std::vector<uint8_t> Bytes;
-    if (slurpFile(Path, Bytes) &&
-        replayRecovered(Bytes.data(), Bytes.size(), Sink, nullptr, Stats))
-      return true;
-    if (Err)
-      *Err = OpenErr;
-    return false;
-  }
-  TraceDecoder Decoder;
-  Decoder.setSymbolRemap(Reader.symbolRemap());
-  uint64_t Records = 0;
-  TraceRecord Buf[1024];
-  while (size_t N = Reader.read(Buf, 1024)) {
-    Decoder.decode(Buf, N, Sink);
-    Records += N;
-    // Chunk boundary: lets a retiring builder reclaim quiesced regions so
-    // replaying a long trace needs only O(live-window) memory too.
-    Sink.onBatchBoundary();
-  }
-  if (Stats) {
-    Stats->Records = Records;
-    Stats->RecordBytes = Reader.version() <= trace::TraceLastRawVersion
-                             ? Reader.recordCount() * sizeof(TraceRecord)
-                             : 0; // see mmap path for exact v4 bytes
-    Stats->BadRecords = Decoder.badRecords();
-    Stats->Version = Reader.version();
-  }
-  if (!Reader.error().empty()) {
-    if (Err)
-      *Err = Reader.error();
-    return false;
-  }
-  return true;
-}
-
-bool replayMmap(const std::string &Path, AnalysisBase &Sink,
-                std::string *Err, ReplayStats *Stats) {
-  TraceMmapReader Map;
-  std::string OpenErr;
-  if (!Map.open(Path, &OpenErr)) {
-    if (OpenErr != "mmap unavailable on this platform" &&
-        OpenErr != "cannot open trace file" &&
-        OpenErr != "cannot mmap trace file") {
-      // Validation (not mmap itself) failed: try torn-tail recovery over a
-      // raw mapping of the same file.
-      TraceMmapReader Raw;
-      if (Raw.openRaw(Path, nullptr) &&
-          replayRecovered(Raw.data(), Raw.size(), Sink, nullptr, Stats))
-        return true;
-    }
-    if (Err)
-      *Err = OpenErr;
-    return false;
-  }
-  TraceDecoder Decoder;
-  Decoder.setSymbolRemap(Map.symbolRemap());
-  const TraceFileHeader &H = Map.header();
-  uint64_t Records = 0;
-  bool Ok = true;
-
-  if (H.Version <= trace::TraceLastRawVersion) {
-    // Raw rows: feed batches straight out of the mapping (the file layout
-    // is the in-memory layout).
-    const auto *R = reinterpret_cast<const TraceRecord *>(Map.recordData());
-    uint64_t Left = H.RecordCount;
-    while (Left != 0) {
-      size_t N = Left < 4096 ? static_cast<size_t>(Left) : 4096;
-      Decoder.decode(R, N, Sink);
-      R += N;
-      Left -= N;
-      Records += N;
-      Sink.onBatchBoundary();
-    }
-  } else {
-    // v4 frames: decode record-at-a-time from the mapping into the event
-    // decoder — no intermediate record buffer.
-    const uint8_t *P = Map.recordData();
-    uint64_t Avail = Map.recordByteSize();
-    while (Records < H.RecordCount) {
-      if (Avail == 0) {
-        Ok = false;
-        if (Err)
-          *Err = "trace file truncated: missing frames";
-        break;
-      }
-      size_t Skip = 0;
-      if (trace::skipSymFrame(P, static_cast<size_t>(Avail), Skip)) {
-        // Symbol checkpoint: superseded by the finalized symbol section.
-        P += Skip;
-        Avail -= Skip;
-        continue;
-      }
-      size_t Consumed = 0;
-      Ok = trace::decodeV4Frame(
-          P, static_cast<size_t>(Avail), Consumed,
-          [&](const TraceRecord &R) {
-            Decoder.decodeOne(R, Sink);
-            ++Records;
-          },
-          Err);
-      if (!Ok)
-        break;
-      P += Consumed;
-      Avail -= Consumed;
-      // Frame boundary: the retirement safe point of this transport.
-      Sink.onBatchBoundary();
-    }
-  }
-
-  if (Stats) {
-    Stats->Records = Records;
-    Stats->RecordBytes = Map.recordByteSize();
-    Stats->BadRecords = Decoder.badRecords();
-    Stats->Version = H.Version;
-  }
-  return Ok;
-}
-
-} // namespace
-
-bool instr::replayTrace(const std::string &Path, AnalysisBase &Sink,
-                        std::string *Err, ReplayTransport Transport,
-                        ReplayStats *Stats) {
-  if (Transport == ReplayTransport::Stdio)
-    return replayStdio(Path, Sink, Err, Stats);
-  if (Transport == ReplayTransport::Mmap)
-    return replayMmap(Path, Sink, Err, Stats);
-  // Auto: v4 gets the zero-copy path; raw versions keep their historical
-  // stdio path (and any mmap setup failure falls back to stdio). Peek at
-  // the header alone to pick — full validation happens in the chosen path.
-  {
-    TraceFileHeader H = {};
-    std::FILE *F = std::fopen(Path.c_str(), "rb");
-    bool GotHeader = F && std::fread(&H, sizeof(H), 1, F) == 1;
-    if (F)
-      std::fclose(F);
-    if (!GotHeader ||
-        std::memcmp(H.Magic, trace::TraceMagic, sizeof(H.Magic)) != 0 ||
-        H.Version <= trace::TraceLastRawVersion)
-      return replayStdio(Path, Sink, Err, Stats);
-  }
-  std::string MmapErr;
-  if (replayMmap(Path, Sink, &MmapErr, Stats))
-    return true;
-  if (MmapErr == "mmap unavailable on this platform" ||
-      MmapErr == "cannot mmap trace file")
-    return replayStdio(Path, Sink, Err, Stats);
-  if (Err)
-    *Err = MmapErr;
-  return false;
 }

@@ -19,7 +19,7 @@
 ///    body is empty, which no analysis invokes).
 ///  - TraceRecorder is an AnalysisBase that encodes straight into an
 ///    `.agtrace` file: attach it to a runtime to record a workload, then
-///    replayTrace() the file into a fresh AsyncGBuilder at zero loop cost.
+///    ingest the file through ag::IngestHub at zero loop cost.
 ///
 /// PropertyAccessEvent and UncaughtErrorEvent are not encoded (they carry
 /// borrowed Values / uninterned strings and feed only the synchronous race
@@ -93,7 +93,7 @@ public:
   TraceDecoder();
 
   /// Installs the old-id -> new-id symbol mapping of a cross-process trace
-  /// (TraceFileReader::symbolRemap()). Without one, ids are taken as-is
+  /// (trace::TracePlan::Remap). Without one, ids are taken as-is
   /// (in-process ring transport).
   void setSymbolRemap(std::vector<SymbolId> Remap) {
     this->Remap = std::move(Remap);
@@ -103,8 +103,8 @@ public:
   void decode(const trace::TraceRecord *Records, size_t N,
               AnalysisBase &Sink);
 
-  /// Decodes a single record (the v4 mmap replay path feeds records
-  /// straight out of the frame decoder, no intermediate buffer).
+  /// Decodes a single record (the ingest hub feeds records straight out
+  /// of the frame decoder, no intermediate buffer).
   void decodeOne(const trace::TraceRecord &R, AnalysisBase &Sink) {
     feed(R, Sink);
   }
@@ -182,7 +182,7 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Recording and replay
+// Recording
 //===----------------------------------------------------------------------===//
 
 /// An analysis that records the instrumented run into an `.agtrace` file.
@@ -229,44 +229,6 @@ private:
   std::vector<trace::TraceRecord> Scratch;
   trace::TraceFileWriter Writer;
 };
-
-/// How replayTrace reads the file back.
-enum class ReplayTransport {
-  /// v4 traces replay zero-copy from an mmap of the file; raw v1..v3
-  /// traces stream through stdio (their historical path).
-  Auto,
-  /// Force buffered stdio reads (any version).
-  Stdio,
-  /// Force the mmap path (any version; raw rows are fed straight from the
-  /// mapping, v4 frames decode record-at-a-time from the mapping). Fails
-  /// where mmap is unavailable.
-  Mmap,
-};
-
-/// Decode-side counters from a replay.
-struct ReplayStats {
-  uint64_t Records = 0;
-  /// Bytes of the file's record section (what the codec version controls).
-  uint64_t RecordBytes = 0;
-  /// Records whose opcode or sequencing was invalid (skipped).
-  uint64_t BadRecords = 0;
-  uint32_t Version = 0;
-  /// True when the strict open failed (torn/truncated recording) and the
-  /// replay salvaged the clean frame-aligned prefix via the v4 checkpoint
-  /// chain instead. Records/RecordBytes then describe the prefix.
-  bool Recovered = false;
-  /// Bytes abandoned after the last clean frame (recovered replays only).
-  uint64_t DroppedTailBytes = 0;
-};
-
-/// Rebuilds a run from \p Path by firing every recorded event into
-/// \p Sink (typically an ag::AsyncGBuilder). Returns false and sets
-/// \p Err on open/validation/decode failure. \p Stats, when non-null,
-/// receives decode-side counters even on partial failure.
-bool replayTrace(const std::string &Path, AnalysisBase &Sink,
-                 std::string *Err = nullptr,
-                 ReplayTransport Transport = ReplayTransport::Auto,
-                 ReplayStats *Stats = nullptr);
 
 } // namespace instr
 } // namespace asyncg

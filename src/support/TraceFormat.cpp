@@ -282,8 +282,7 @@ bool trace::validateTraceImage(const uint8_t *Bytes, uint64_t Size,
 /// remaining), re-interning its strings and appending the new ids to
 /// \p Remap. On success sets \p Consumed to the frame's total size. On a
 /// torn or corrupt checkpoint returns false with \p Stop describing why;
-/// symbols already re-interned before the damage are harmless. Shared by
-/// recoverV4Prefix (decode-as-you-scan) and scanV4Recovery (locate-only).
+/// symbols already re-interned before the damage are harmless.
 static bool readSymCheckpoint(const uint8_t *Bytes, uint64_t Off,
                               uint64_t Avail, std::vector<SymbolId> &Remap,
                               uint64_t &Consumed, std::string &Stop) {
@@ -448,251 +447,18 @@ bool trace::scanV4Recovery(const uint8_t *Bytes, uint64_t Size,
   return true;
 }
 
-bool trace::recoverV4Prefix(
-    const uint8_t *Bytes, uint64_t Size, std::vector<SymbolId> &Remap,
-    const std::function<void(const TraceRecord *, size_t)> &OnFrame,
-    TraceRecoveryInfo *Info, std::string *Err) {
-  TraceRecoveryInfo Local;
-  TraceRecoveryInfo &R = Info ? *Info : Local;
-  R = TraceRecoveryInfo();
-  Remap.clear();
-  if (Size < sizeof(TraceMagic) ||
-      std::memcmp(Bytes, TraceMagic, sizeof(TraceMagic)) != 0)
-    return fail(Err, "bad magic: not an .agtrace file");
-  if (Size < sizeof(TraceFileHeader)) {
-    // Cut inside the 32-byte header: the recording died before any frame
-    // reached disk. The clean prefix is empty — still a successful
-    // recovery, just of nothing.
-    R.DroppedBytes = Size;
-    R.TailError = "trace file truncated: mid-header";
-    return true;
-  }
-  TraceFileHeader H;
-  std::memcpy(&H, Bytes, sizeof(H));
-  if (H.Version <= TraceLastRawVersion || H.Version > TraceVersion)
-    return fail(Err, "trace version has no recovery checkpoints");
-
-  uint64_t Off = sizeof(TraceFileHeader);
-  std::vector<TraceRecord> Buf;
-  std::string Stop;
-  while (Off < Size) {
-    uint64_t Avail = Size - Off;
-    uint32_t Magic = 0;
-    if (Avail >= sizeof(Magic))
-      std::memcpy(&Magic, Bytes + Off, sizeof(Magic));
-    if (Avail < sizeof(TraceFrameHeader)) {
-      Stop = "trace file truncated: frame header";
-      break;
-    }
-    if (Magic == FrameSymMagic) {
-      // Stops before any frame that would reference ids the damaged
-      // checkpoint failed to deliver; symbols already re-interned are
-      // harmless.
-      uint64_t Consumed = 0;
-      if (!readSymCheckpoint(Bytes, Off, Avail, Remap, Consumed, Stop))
-        break;
-      Off += Consumed;
-      continue;
-    }
-    if (Magic != FrameMagic) {
-      Stop = "corrupt trace: bad frame magic";
-      break;
-    }
-    // Decode the whole frame into a scratch buffer first: a frame that
-    // fails mid-decode is dropped entirely, so the caller only ever sees
-    // complete frames (the clean-prefix guarantee).
-    Buf.clear();
-    size_t Consumed = 0;
-    std::string FrameErr;
-    if (!decodeV4Frame(
-            Bytes + Off, static_cast<size_t>(Avail), Consumed,
-            [&Buf](const TraceRecord &Rec) { Buf.push_back(Rec); },
-            &FrameErr)) {
-      Stop = FrameErr;
-      break;
-    }
-    OnFrame(Buf.data(), Buf.size());
-    ++R.Frames;
-    R.Records += Buf.size();
-    R.RecordBytes += Consumed;
-    Off += Consumed;
-  }
-  R.DroppedBytes = Size - Off;
-  R.TailError = Stop;
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// TraceFileReader
-//===----------------------------------------------------------------------===//
-
-TraceFileReader::~TraceFileReader() {
-  if (File)
-    std::fclose(File);
-}
-
-bool TraceFileReader::open(const std::string &Path, std::string *Err) {
-  File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return fail(Err, "cannot open trace file");
-  if (std::fseek(File, 0, SEEK_END) != 0)
-    return fail(Err, "trace file seek failed");
-  long Sz = std::ftell(File);
-  if (Sz < 0)
-    return fail(Err, "trace file seek failed");
-  FileSize = static_cast<uint64_t>(Sz);
-  if (std::fseek(File, 0, SEEK_SET) != 0 ||
-      std::fread(&Header, sizeof(Header), 1, File) != 1)
-    return fail(Err, "trace file truncated: no header");
-  if (std::memcmp(Header.Magic, TraceMagic, sizeof(Header.Magic)) != 0)
-    return fail(Err, "bad magic: not an .agtrace file");
-  if (Header.Version < TraceMinVersion || Header.Version > TraceVersion)
-    return fail(Err, "unsupported trace version");
-  if (Header.SymtabOffset < sizeof(TraceFileHeader) ||
-      Header.SymtabOffset > FileSize)
-    return fail(Err, "trace file truncated: no symbol section");
-  if (Header.Version <= TraceLastRawVersion) {
-    uint64_t RecordBytes = Header.SymtabOffset - sizeof(TraceFileHeader);
-    if (RecordBytes / sizeof(TraceRecord) < Header.RecordCount)
-      return fail(Err, "trace file truncated: record section");
-  }
-
-  // Load the symbol section and re-intern into this process's table.
-  if (std::fseek(File, static_cast<long>(Header.SymtabOffset), SEEK_SET) != 0)
-    return fail(Err, "trace file truncated: no symbol section");
-  uint64_t SymCount = 0;
-  if (std::fread(&SymCount, sizeof(SymCount), 1, File) != 1)
-    return fail(Err, "trace file truncated: symbol count");
-  uint64_t SymBytesLeft = FileSize - Header.SymtabOffset - sizeof(SymCount);
-  if (SymCount > SymBytesLeft / sizeof(uint32_t))
-    return fail(Err, "corrupt trace: implausible symbol count");
-  Remap.clear();
-  Remap.reserve(static_cast<size_t>(SymCount));
-  std::string Scratch;
-  for (uint64_t I = 0; I != SymCount; ++I) {
-    uint32_t Len = 0;
-    if (std::fread(&Len, sizeof(Len), 1, File) != 1)
-      return fail(Err, "trace file truncated: symbol length");
-    SymBytesLeft -= sizeof(Len);
-    if (Len > SymBytesLeft)
-      return fail(Err, "trace file truncated: symbol bytes");
-    Scratch.resize(Len);
-    if (Len != 0 && std::fread(Scratch.data(), 1, Len, File) != Len)
-      return fail(Err, "trace file truncated: symbol bytes");
-    SymBytesLeft -= Len;
-    Remap.push_back(symtab().intern(Scratch));
-  }
-
-  if (std::fseek(File, sizeof(TraceFileHeader), SEEK_SET) != 0)
-    return fail(Err, "trace file seek failed");
-  ReadSoFar = 0;
-  RecordBytesLeft = Header.SymtabOffset - sizeof(TraceFileHeader);
-  Decoded.clear();
-  DecodedPos = 0;
-  ReadError.clear();
-  return true;
-}
-
-bool TraceFileReader::loadNextFrame() {
-  TraceFrameHeader FH;
-  for (;;) {
-    if (RecordBytesLeft < sizeof(FH)) {
-      ReadError = "trace file truncated: frame header";
-      return false;
-    }
-    if (std::fread(&FH, sizeof(FH), 1, File) != 1) {
-      ReadError = "trace file truncated: frame header";
-      return false;
-    }
-    RecordBytesLeft -= sizeof(FH);
-    if (FH.Magic != FrameSymMagic)
-      break;
-    // Symbol checkpoint: redundant in a finalized file (the trailing
-    // symbol section supersedes it) — skip the payload.
-    TraceSymFrameHeader SH;
-    std::memcpy(&SH, &FH, sizeof(SH));
-    if (SH.ByteLen > RecordBytesLeft ||
-        std::fseek(File, static_cast<long>(SH.ByteLen), SEEK_CUR) != 0) {
-      ReadError = "trace file truncated: symbol checkpoint";
-      return false;
-    }
-    RecordBytesLeft -= SH.ByteLen;
-  }
-  if (FH.Magic != FrameMagic) {
-    ReadError = "corrupt trace: bad frame magic";
-    return false;
-  }
-  if (FH.RecordCount == 0 || FH.RecordCount > FrameMaxRecords) {
-    ReadError = "corrupt trace: implausible frame record count";
-    return false;
-  }
-  uint64_t Payload = 0;
-  for (unsigned C = 0; C != FrameColumns; ++C)
-    Payload += FH.ColBytes[C];
-  if (Payload > RecordBytesLeft) {
-    ReadError = "trace file truncated: frame payload";
-    return false;
-  }
-  // Re-assemble header + payload so the shared frame decoder sees one
-  // contiguous image.
-  FrameBuf.resize(sizeof(FH) + static_cast<size_t>(Payload));
-  std::memcpy(FrameBuf.data(), &FH, sizeof(FH));
-  if (Payload != 0 &&
-      std::fread(FrameBuf.data() + sizeof(FH), 1,
-                 static_cast<size_t>(Payload), File) != Payload) {
-    ReadError = "trace file truncated: frame payload";
-    return false;
-  }
-  RecordBytesLeft -= Payload;
-
-  Decoded.clear();
-  Decoded.reserve(FH.RecordCount);
-  DecodedPos = 0;
-  size_t Consumed = 0;
-  return decodeV4Frame(
-      FrameBuf.data(), FrameBuf.size(), Consumed,
-      [this](const TraceRecord &R) { Decoded.push_back(R); }, &ReadError);
-}
-
-size_t TraceFileReader::read(TraceRecord *Out, size_t Max) {
-  if (!File || ReadSoFar >= Header.RecordCount || !ReadError.empty())
-    return 0;
-  uint64_t Left = Header.RecordCount - ReadSoFar;
-  size_t Want = Max < Left ? Max : static_cast<size_t>(Left);
-
-  if (Header.Version <= TraceLastRawVersion) {
-    size_t Got = std::fread(Out, sizeof(TraceRecord), Want, File);
-    ReadSoFar += Got;
-    return Got;
-  }
-
-  size_t Total = 0;
-  while (Total != Want) {
-    if (DecodedPos == Decoded.size() && !loadNextFrame())
-      break;
-    size_t Avail = Decoded.size() - DecodedPos;
-    size_t Take = Want - Total < Avail ? Want - Total : Avail;
-    std::memcpy(Out + Total, Decoded.data() + DecodedPos,
-                Take * sizeof(TraceRecord));
-    DecodedPos += Take;
-    Total += Take;
-  }
-  ReadSoFar += Total;
-  return Total;
-}
-
 //===----------------------------------------------------------------------===//
 // TraceMmapReader
 //===----------------------------------------------------------------------===//
 
 TraceMmapReader::~TraceMmapReader() {
 #if ASYNCG_HAVE_MMAP
-  if (Base)
+  if (Mapped)
     ::munmap(const_cast<uint8_t *>(Base), static_cast<size_t>(Size));
 #endif
 }
 
-bool TraceMmapReader::open(const std::string &Path, std::string *Err) {
+bool TraceMmapReader::load(const std::string &Path, std::string *Err) {
 #if ASYNCG_HAVE_MMAP
   int Fd = ::open(Path.c_str(), O_RDONLY);
   if (Fd < 0)
@@ -702,8 +468,7 @@ bool TraceMmapReader::open(const std::string &Path, std::string *Err) {
     ::close(Fd);
     return fail(Err, "cannot stat trace file");
   }
-  Size = static_cast<uint64_t>(St.st_size);
-  if (Size < sizeof(TraceFileHeader)) {
+  if (St.st_size == 0) {
     ::close(Fd);
     return fail(Err, "trace file truncated: no header");
   }
@@ -714,49 +479,101 @@ bool TraceMmapReader::open(const std::string &Path, std::string *Err) {
 #ifdef MAP_POPULATE
   Flags |= MAP_POPULATE;
 #endif
-  void *Map =
-      ::mmap(nullptr, static_cast<size_t>(Size), PROT_READ, Flags, Fd, 0);
+  size_t Len = static_cast<size_t>(St.st_size);
+  void *Map = ::mmap(nullptr, Len, PROT_READ, Flags, Fd, 0);
   ::close(Fd);
-  if (Map == MAP_FAILED)
-    return fail(Err, "cannot mmap trace file");
-  ::madvise(Map, static_cast<size_t>(Size), MADV_SEQUENTIAL);
-  Base = static_cast<const uint8_t *>(Map);
-  if (!validateTraceImage(Base, Size, Header, Remap, Err)) {
-    ::munmap(Map, static_cast<size_t>(Size));
-    Base = nullptr;
-    return false;
+  if (Map != MAP_FAILED) {
+    ::madvise(Map, Len, MADV_SEQUENTIAL);
+    Base = static_cast<const uint8_t *>(Map);
+    Size = Len;
+    Mapped = true;
+    return true;
   }
-  return true;
-#else
-  (void)Path;
-  return fail(Err, "mmap unavailable on this platform");
 #endif
+  // No mmap here, or it failed: read the image into an owned buffer.
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F)
+    return fail(Err, "cannot open trace file");
+  bool Ok = std::fseek(F, 0, SEEK_END) == 0;
+  long N = Ok ? std::ftell(F) : -1;
+  Ok = N >= 0 && std::fseek(F, 0, SEEK_SET) == 0;
+  if (Ok) {
+    Owned.resize(static_cast<size_t>(N));
+    Ok = std::fread(Owned.data(), 1, Owned.size(), F) == Owned.size();
+  }
+  std::fclose(F);
+  if (!Ok)
+    return fail(Err, "cannot read trace file");
+  if (Owned.empty())
+    return fail(Err, "trace file truncated: no header");
+  Base = Owned.data();
+  Size = Owned.size();
+  return true;
 }
 
-bool TraceMmapReader::openRaw(const std::string &Path, std::string *Err) {
-#if ASYNCG_HAVE_MMAP
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return fail(Err, "cannot open trace file");
-  struct stat St;
-  if (::fstat(Fd, &St) != 0 || St.st_size < 0) {
-    ::close(Fd);
-    return fail(Err, "cannot stat trace file");
+bool TraceMmapReader::open(const std::string &Path, std::string *Err) {
+  return load(Path, Err) && validateTraceImage(Base, Size, Header, Remap, Err);
+}
+
+//===----------------------------------------------------------------------===//
+// TracePlan
+//===----------------------------------------------------------------------===//
+
+bool TracePlan::open(const std::string &Path, std::string *Err) {
+  std::string StrictErr;
+  if (Image.open(Path, &StrictErr)) {
+    const TraceFileHeader &H = Image.header();
+    Version = H.Version;
+    Base = Image.recordData();
+    Remap = Image.symbolRemap();
+    Records = H.RecordCount;
+    RecordBytes = Image.recordByteSize();
+    if (!rawRows())
+      return scanV4Frames(Base, static_cast<size_t>(RecordBytes), Records,
+                          Frames, Err);
+    for (uint64_t Row = 0; Row < Records; Row += RawBatchRows) {
+      TraceFrameRef F;
+      F.Offset = Row * sizeof(TraceRecord);
+      F.Records = static_cast<uint32_t>(
+          Records - Row < RawBatchRows ? Records - Row : RawBatchRows);
+      F.Bytes = F.Records * static_cast<uint32_t>(sizeof(TraceRecord));
+      Frames.push_back(F);
+    }
+    return true;
   }
-  Size = static_cast<uint64_t>(St.st_size);
-  if (Size == 0) {
-    ::close(Fd);
-    return fail(Err, "trace file truncated: no header");
+  // Strict validation refused the file: a recording cut off by a crash
+  // never got its symbol section or header counts. Locate the clean frame
+  // prefix through the checkpoint chain; if the image is not recoverable
+  // v4 either, the strict open's error stands.
+  if (!Image.isOpen() || !scanV4Recovery(Image.data(), Image.size(), Frames,
+                                         Remap, &Recovery, nullptr)) {
+    if (Err)
+      *Err = StrictErr;
+    return false;
   }
-  void *Map =
-      ::mmap(nullptr, static_cast<size_t>(Size), PROT_READ, MAP_PRIVATE, Fd, 0);
-  ::close(Fd);
-  if (Map == MAP_FAILED)
-    return fail(Err, "cannot mmap trace file");
-  Base = static_cast<const uint8_t *>(Map);
+  Version = TraceVersion;
+  Recovered = true;
+  Base = Image.data();
+  Records = Recovery.Records;
   return true;
-#else
-  (void)Path;
-  return fail(Err, "mmap unavailable on this platform");
-#endif
+}
+
+bool TracePlan::decode(size_t I, std::vector<TraceRecord> &Out,
+                       std::string *Err) const {
+  const TraceFrameRef &F = Frames[I];
+  if (rawRows()) {
+    Out.resize(F.Records);
+    std::memcpy(Out.data(), Base + F.Offset, F.Bytes);
+    return true;
+  }
+  Out.clear();
+  Out.reserve(F.Records);
+  size_t Consumed = 0;
+  if (!decodeV4Frame(
+          Base + F.Offset, F.Bytes, Consumed,
+          [&Out](const TraceRecord &R) { Out.push_back(R); }, Err))
+    return false;
+  if (Consumed != F.Bytes)
+    return fail(Err, "corrupt trace: frame size disagrees with scan");
+  return true;
 }

@@ -66,7 +66,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -531,57 +530,9 @@ private:
   V4FrameEncoder Encoder;
 };
 
-/// Reads an `.agtrace` file through stdio: validates magic/version, loads
-/// the symbol section, and streams records back. Understands both the raw
-/// (v1..v3) and the columnar (v4) record sections.
-class TraceFileReader {
-public:
-  TraceFileReader() = default;
-  ~TraceFileReader();
-
-  TraceFileReader(const TraceFileReader &) = delete;
-  TraceFileReader &operator=(const TraceFileReader &) = delete;
-
-  /// Opens and validates \p Path; loads the symbol section and interns
-  /// every symbol into the current process's table. On failure returns
-  /// false and, when \p Err is non-null, describes the problem.
-  bool open(const std::string &Path, std::string *Err = nullptr);
-
-  /// Reads up to \p Max records; returns the count (0 at end of trace or
-  /// on a corrupt v4 frame — check error() to tell the two apart).
-  size_t read(TraceRecord *Out, size_t Max);
-
-  uint64_t recordCount() const { return Header.RecordCount; }
-  uint32_t version() const { return Header.Version; }
-
-  /// Non-empty once a corrupt record section stopped read() early.
-  const std::string &error() const { return ReadError; }
-
-  /// Maps a symbol id as written by the recording process to the id of the
-  /// same string in this process's table.
-  const std::vector<SymbolId> &symbolRemap() const { return Remap; }
-
-private:
-  bool loadNextFrame();
-
-  std::FILE *File = nullptr;
-  TraceFileHeader Header = {};
-  uint64_t ReadSoFar = 0;
-  uint64_t FileSize = 0;
-  std::vector<SymbolId> Remap;
-  std::string ReadError;
-
-  /// v4 state: decoded records of the current frame + raw frame scratch.
-  std::vector<TraceRecord> Decoded;
-  size_t DecodedPos = 0;
-  std::vector<uint8_t> FrameBuf;
-  uint64_t RecordBytesLeft = 0;
-};
-
 /// Validates an `.agtrace` header + symbol section against the file size
-/// and re-interns the symbols. Shared by the stdio and mmap readers.
-/// \p Bytes/\p Size cover the whole file image. Returns false with \p Err
-/// set on any structural problem.
+/// and re-interns the symbols. \p Bytes/\p Size cover the whole file
+/// image. Returns false with \p Err set on any structural problem.
 bool validateTraceImage(const uint8_t *Bytes, uint64_t Size,
                         TraceFileHeader &Header,
                         std::vector<SymbolId> &Remap, std::string *Err);
@@ -596,26 +547,6 @@ struct TraceRecoveryInfo {
   /// boundary, nothing was lost).
   std::string TailError;
 };
-
-/// Salvages the clean frame-aligned prefix of a v4 `.agtrace` image whose
-/// strict open failed — a recording cut off by a crash (no final symbol
-/// table, header counts still zero), or a finalized file with a damaged
-/// tail. Walks frames from the end of the header: symbol-checkpoint frames
-/// extend \p Remap (re-interning into this process's table), record frames
-/// are decoded in full and handed to \p OnFrame(Records, Count) — a frame
-/// that does not decode completely is discarded, so the caller only ever
-/// sees whole frames. Stops at the first torn or corrupt frame and reports
-/// what was dropped in \p Info.
-///
-/// Returns true when the image is recoverable v4 — intact 8-byte magic and
-/// a v4 version field (a cut inside the 32-byte header counts, with an
-/// empty prefix) — even if zero frames survive. Returns false with \p Err
-/// set when the image is not an `.agtrace` at all or predates checkpoint
-/// recovery (raw v1..v3).
-bool recoverV4Prefix(
-    const uint8_t *Bytes, uint64_t Size, std::vector<SymbolId> &Remap,
-    const std::function<void(const TraceRecord *, size_t)> &OnFrame,
-    TraceRecoveryInfo *Info = nullptr, std::string *Err = nullptr);
 
 /// One record frame located by a pre-scan of a v4 record section. The scan
 /// reads only frame headers, so locating every frame of a trace is O(frame
@@ -646,28 +577,33 @@ bool scanV4Frames(const uint8_t *P, size_t Avail, uint64_t RecordCount,
                   std::vector<TraceFrameRef> &Out, std::string *Err = nullptr);
 
 /// The recovery twin of scanV4Frames: walks the frame chain of a torn or
-/// truncated v4 image exactly like recoverV4Prefix — growing \p Remap from
-/// the interleaved symbol checkpoints and stopping at the first torn or
-/// structurally corrupt frame — but records frame boundaries instead of
-/// decoding, so a parallel ingester can decode the located frames
-/// concurrently. Each emitted TraceFrameRef carries the remap prefix
-/// length in force when it is applied. \p Info receives the same counters
-/// recoverV4Prefix reports, except that Records/RecordBytes describe the
-/// *located* frames: a frame whose varint streams later fail to decode
-/// must be discarded along with everything after it, mirroring
-/// recoverV4Prefix's clean-prefix guarantee. Return value and \p Err
-/// follow recoverV4Prefix.
+/// truncated v4 image — a recording cut off by a crash (no final symbol
+/// table, header counts still zero), or a finalized file with a damaged
+/// tail — growing \p Remap from the interleaved symbol checkpoints
+/// (re-interning into this process's table) and stopping at the first torn
+/// or structurally corrupt frame. It records frame boundaries without
+/// decoding, so the located frames can be decoded concurrently. Each
+/// emitted TraceFrameRef carries the remap prefix length in force when it
+/// is applied. \p Info's Records/RecordBytes describe the *located*
+/// frames: a frame whose varint streams later fail to decode must be
+/// discarded along with everything after it, so consumers only ever see
+/// a clean frame-aligned prefix.
+///
+/// Returns true when the image is recoverable v4 — intact 8-byte magic and
+/// a v4 version field (a cut inside the 32-byte header counts, with an
+/// empty prefix) — even if zero frames survive. Returns false with \p Err
+/// set when the image is not an `.agtrace` at all or predates checkpoint
+/// recovery (raw v1..v3).
 bool scanV4Recovery(const uint8_t *Bytes, uint64_t Size,
                     std::vector<TraceFrameRef> &Out,
                     std::vector<SymbolId> &Remap,
                     TraceRecoveryInfo *Info = nullptr,
                     std::string *Err = nullptr);
 
-/// Memory-maps an `.agtrace` file read-only and exposes the validated
-/// header, symbol remap, and the raw record-section bytes for zero-copy
-/// decoding. Falls back cleanly (open() returns false with
-/// "mmap unavailable") on platforms without mmap; callers then use
-/// TraceFileReader.
+/// The one `.agtrace` reader: loads a file image read-only — memory-mapped
+/// where the platform allows, read into an owned buffer where mmap is
+/// unavailable or fails — and validates its header and symbol section.
+/// Single-use: open() once per reader.
 class TraceMmapReader {
 public:
   TraceMmapReader() = default;
@@ -676,19 +612,19 @@ public:
   TraceMmapReader(const TraceMmapReader &) = delete;
   TraceMmapReader &operator=(const TraceMmapReader &) = delete;
 
+  /// Loads and validates \p Path. Returns false with \p Err set on
+  /// failure; when the file was readable but failed validation, the image
+  /// stays loaded (isOpen(), data(), size()) for a recovery scan.
   bool open(const std::string &Path, std::string *Err = nullptr);
-
-  /// Maps \p Path without any validation — the input to a prefix-recovery
-  /// scan of a torn file (recoverV4Prefix). header()/symbolRemap()/
-  /// recordData() are meaningless after openRaw; use data()/size().
-  bool openRaw(const std::string &Path, std::string *Err = nullptr);
 
   bool isOpen() const { return Base != nullptr; }
 
-  /// The whole mapped image (valid after open or openRaw).
+  /// The whole file image.
   const uint8_t *data() const { return Base; }
   uint64_t size() const { return Size; }
 
+  /// \name Valid after a successful open().
+  /// @{
   const TraceFileHeader &header() const { return Header; }
   const std::vector<SymbolId> &symbolRemap() const { return Remap; }
 
@@ -699,12 +635,66 @@ public:
   uint64_t recordByteSize() const {
     return Header.SymtabOffset - sizeof(TraceFileHeader);
   }
+  /// @}
 
 private:
+  bool load(const std::string &Path, std::string *Err);
+
   const uint8_t *Base = nullptr;
   uint64_t Size = 0;
+  /// Base is an mmap of the file (else it points into Owned).
+  bool Mapped = false;
+  std::vector<uint8_t> Owned;
   TraceFileHeader Header = {};
   std::vector<SymbolId> Remap;
+};
+
+/// Rows per batch in the plan of a raw v1..v3 trace.
+constexpr uint32_t RawBatchRows = 4096;
+
+/// How an `.agtrace` file becomes records: open() loads the image,
+/// classifies it, and locates its record batches without decoding a
+/// single record. Every kind of file plans alike:
+///
+///  - finalized v4: one batch per record frame (scanV4Frames);
+///  - torn v4 (the strict open failed): the clean frame prefix located
+///    through the checkpoint chain (scanV4Recovery);
+///  - raw v1..v3: batches of RawBatchRows rows, copied straight out of the
+///    image (the file layout is the in-memory layout).
+///
+/// Batches are self-contained, so decode() may run on any batch in any
+/// order; the records must be *applied* in batch order.
+struct TracePlan {
+  /// Loads and plans \p Path. When neither the strict open nor a recovery
+  /// scan accepts the file, returns false with the strict open's error.
+  bool open(const std::string &Path, std::string *Err = nullptr);
+
+  /// Raw 32-byte rows rather than v4 frames.
+  bool rawRows() const { return Version <= TraceLastRawVersion; }
+
+  /// Fills \p Out with the records of batch \p I. Returns false with
+  /// \p Err set when a frame's columns fail to decode.
+  bool decode(size_t I, std::vector<TraceRecord> &Out,
+              std::string *Err) const;
+
+  TraceMmapReader Image;
+  uint32_t Version = 0;
+  /// The strict open failed and Frames is a recovered clean prefix.
+  bool Recovered = false;
+  /// Frames[i].Offset is relative to this: the record section of a
+  /// validated file, the whole image of a recovered one.
+  const uint8_t *Base = nullptr;
+  std::vector<TraceFrameRef> Frames;
+  /// Symbol ids as recorded -> ids in this process. Complete for a
+  /// validated file; for a recovered one, grown from the checkpoints, and
+  /// each frame's RemapSize says how much of it applies.
+  std::vector<SymbolId> Remap;
+  /// Records across all batches.
+  uint64_t Records = 0;
+  /// Record-section bytes of a validated file (0 when recovered; see
+  /// Recovery and the frame sizes).
+  uint64_t RecordBytes = 0;
+  TraceRecoveryInfo Recovery;
 };
 
 } // namespace trace

@@ -20,6 +20,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "ag/Builder.h"
 #include "apps/acmeair/App.h"
 #include "apps/acmeair/Workload.h"
@@ -36,6 +38,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace asyncg;
 using namespace asyncg::jsrt;
@@ -199,9 +202,9 @@ std::string slurp(const std::string &Path) {
 }
 
 TEST(TraceV3, ShardInfoRoundTripsAndShardZeroStaysV2) {
-  std::string P0 = ::testing::TempDir() + "cluster_s0.agtrace";
-  std::string P0x = ::testing::TempDir() + "cluster_s0x.agtrace";
-  std::string P3 = ::testing::TempDir() + "cluster_s3.agtrace";
+  std::string P0 = testutil::uniqueTempPath("s0");
+  std::string P0x = testutil::uniqueTempPath("s0x");
+  std::string P3 = testutil::uniqueTempPath("s3");
 
   {
     Runtime RT;
@@ -235,15 +238,17 @@ TEST(TraceV3, ShardInfoRoundTripsAndShardZeroStaysV2) {
   }
 
   // Replay the shard-3 trace by hand so the decoder is inspectable.
-  trace::TraceFileReader Reader;
+  trace::TracePlan Plan;
   std::string Err;
-  ASSERT_TRUE(Reader.open(P3, &Err)) << Err;
+  ASSERT_TRUE(Plan.open(P3, &Err)) << Err;
   instr::TraceDecoder Decoder;
-  Decoder.setSymbolRemap(Reader.symbolRemap());
+  Decoder.setSymbolRemap(Plan.Remap);
   ag::AsyncGBuilder Builder;
-  trace::TraceRecord Buf[256];
-  while (size_t N = Reader.read(Buf, 256))
-    Decoder.decode(Buf, N, Builder);
+  std::vector<trace::TraceRecord> Records;
+  for (size_t I = 0; I != Plan.Frames.size(); ++I) {
+    ASSERT_TRUE(Plan.decode(I, Records, &Err)) << Err;
+    Decoder.decode(Records.data(), Records.size(), Builder);
+  }
   EXPECT_EQ(Decoder.shard(), 3u);
   EXPECT_EQ(Decoder.badRecords(), 0u);
   EXPECT_GT(Builder.graph().nodes().size(), 0u);

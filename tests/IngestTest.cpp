@@ -5,17 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel ingest hub's one non-negotiable contract is byte parity:
-/// whatever replayTrace() would have produced — DOT output and warning
-/// report — IngestHub must reproduce exactly, at every job count, for
-/// every stream condition it claims to handle. These tests pin that down:
+/// The ingest hub is the only path from a recording to a graph, and its
+/// one non-negotiable contract is parity with the live in-process build of
+/// the recorded run — DOT output and warning report — at every job count,
+/// for every stream condition it claims to handle. These tests pin that
+/// down:
 ///
-///  - Table-I cases and an AcmeAir workload, serial vs jobs 1/2/4;
-///  - two-shard cluster streams: the hub's streaming merge vs the batch
-///    ShardedGraph reference vs the harness's own merged graph;
-///  - torn-tail traces: the hub's clean-prefix recovery vs the serial
-///    recovered replay, again across job counts;
-///  - raw v2/v3 traces: the replayTrace() fallback path, flagged as such.
+///  - Table-I cases and an AcmeAir workload, live vs jobs 1/2/4;
+///  - two-shard cluster streams: the hub's streaming merge vs the
+///    harness's own merged graph;
+///  - torn-tail traces: the recovered prefix holds exactly the records of
+///    the intact file's frames that end before the cut, identically at
+///    jobs 1 and 4;
+///  - raw v2/v3 traces: batches of rows through the same ordered apply,
+///    including their bad-record accounting.
 ///
 /// Plus unit and two-thread stress coverage for the MpmcQueue the decode
 /// pool schedules through. The bench smoke --check leg re-runs this suite
@@ -24,8 +27,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "ag/IngestHub.h"
-#include "ag/ShardedGraph.h"
 #include "apps/acmeair/App.h"
 #include "apps/acmeair/Workload.h"
 #include "apps/cluster/Harness.h"
@@ -40,6 +44,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,72 +53,9 @@
 
 using namespace asyncg;
 using namespace asyncg::cases;
+using namespace asyncg::testutil;
 
 namespace {
-
-std::string tempPath(const std::string &Tag) {
-  return ::testing::TempDir() + "ingest_" + Tag + ".agtrace";
-}
-
-std::vector<uint8_t> slurpBytes(const std::string &Path) {
-  std::vector<uint8_t> Bytes;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  EXPECT_NE(F, nullptr) << Path;
-  if (!F)
-    return Bytes;
-  std::fseek(F, 0, SEEK_END);
-  long Size = std::ftell(F);
-  std::fseek(F, 0, SEEK_SET);
-  Bytes.resize(static_cast<size_t>(Size));
-  EXPECT_EQ(std::fread(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
-  std::fclose(F);
-  return Bytes;
-}
-
-void spitBytes(const std::string &Path, const std::vector<uint8_t> &Bytes) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr) << Path;
-  ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
-  std::fclose(F);
-}
-
-/// Serial reference: replayTrace into a fresh builder; DOT + warnings.
-void serialReference(const std::string &Path, std::string &Dot,
-                     std::string &Warnings, bool Detect = false) {
-  ag::AsyncGBuilder Builder;
-  std::unique_ptr<detect::DetectorSuite> Suite;
-  if (Detect) {
-    Suite.reset(new detect::DetectorSuite());
-    Suite->attachTo(Builder);
-  }
-  std::string Err;
-  ASSERT_TRUE(instr::replayTrace(Path, Builder, &Err)) << Path << ": " << Err;
-  Dot = viz::toDot(Builder.graph());
-  Warnings = viz::warningsReport(Builder.graph());
-}
-
-/// Hub under test: same trace(s) through IngestHub at \p Jobs.
-void hubResult(const std::vector<std::string> &Paths, unsigned Jobs,
-               std::string &Dot, std::string &Warnings,
-               ag::IngestStats *Stats = nullptr, bool Detect = false) {
-  ag::IngestOptions Opts;
-  Opts.Jobs = Jobs;
-  ag::IngestHub Hub(Opts);
-  std::vector<std::unique_ptr<detect::DetectorSuite>> Suites;
-  for (const std::string &P : Paths) {
-    size_t S = Hub.addFile(P);
-    if (Detect) {
-      Suites.emplace_back(new detect::DetectorSuite());
-      Suites.back()->attachTo(Hub.builder(S));
-    }
-  }
-  std::string Err;
-  ASSERT_TRUE(Hub.run(&Err)) << Err;
-  Dot = viz::toDot(Hub.graph());
-  Warnings = viz::warningsReport(Hub.graph());
-  if (Stats)
-    *Stats = Hub.stats();
-}
 
 //===----------------------------------------------------------------------===//
 // MpmcQueue
@@ -211,25 +154,23 @@ std::string ingestCaseName(const ::testing::TestParamInfo<size_t> &Info) {
 
 TEST_P(IngestCaseParity, EveryJobCountMatchesSerialReplay) {
   const CaseDef &Def = allCases()[GetParam()];
-  std::string Path = tempPath(Def.Name);
+  std::string Path = uniqueTempPath("case");
   instr::TraceRecorder Rec;
   ASSERT_TRUE(Rec.open(Path));
   runCaseWith(Def, /*Fixed=*/false, Rec);
   ASSERT_TRUE(Rec.finalize());
 
-  std::string WantDot, WantWarn;
-  serialReference(Path, WantDot, WantWarn);
+  Rendered Want = liveCase(Def, /*Fixed=*/false);
   for (unsigned Jobs : {1u, 2u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(Jobs));
-    std::string Dot, Warn;
-    ag::IngestStats Stats;
-    hubResult({Path}, Jobs, Dot, Warn, &Stats);
-    EXPECT_EQ(Dot, WantDot);
-    EXPECT_EQ(Warn, WantWarn);
-    ASSERT_EQ(Stats.Streams.size(), 1u);
-    EXPECT_FALSE(Stats.Streams[0].Fallback);
-    EXPECT_FALSE(Stats.Streams[0].Recovered);
-    EXPECT_EQ(Stats.Records, Stats.Streams[0].Records);
+    Ingested Got = ingest({Path}, Jobs);
+    ASSERT_TRUE(Got.Ok) << Got.Err;
+    EXPECT_EQ(Got.Out.Dot, Want.Dot);
+    expectLiveWarnings(Got.Out.Warnings, Want.Warnings, Def, /*Fixed=*/false);
+    ASSERT_EQ(Got.Stats.Streams.size(), 1u);
+    EXPECT_FALSE(Got.Stats.Streams[0].Recovered);
+    EXPECT_EQ(Got.Stats.Records, Rec.recordCount());
+    EXPECT_EQ(Got.Stats.Records, Got.Stats.Streams[0].Records);
   }
   std::remove(Path.c_str());
 }
@@ -245,9 +186,12 @@ INSTANTIATE_TEST_SUITE_P(AllCases, IngestCaseParity,
 TEST(IngestAcmeAir, JobSweepMatchesSerialReplay) {
   using namespace asyncg::jsrt;
   using namespace asyncg::acmeair;
-  std::string Path = tempPath("acmeair");
+  std::string Path = uniqueTempPath("acmeair");
   instr::TraceRecorder Rec;
   ASSERT_TRUE(Rec.open(Path));
+  ag::AsyncGBuilder Live;
+  detect::DetectorSuite Detectors;
+  Detectors.attachTo(Live);
   {
     Runtime RT;
     AppConfig ACfg;
@@ -256,6 +200,7 @@ TEST(IngestAcmeAir, JobSweepMatchesSerialReplay) {
     WCfg.TotalRequests = 400;
     WCfg.Clients = 4;
     WorkloadDriver Driver(RT, ACfg.Port, WCfg);
+    RT.hooks().attach(&Live);
     RT.hooks().attach(&Rec);
     Function Main = RT.makeBuiltin("main", [&](Runtime &, const CallArgs &) {
       App.start(JSLOC);
@@ -267,14 +212,14 @@ TEST(IngestAcmeAir, JobSweepMatchesSerialReplay) {
     ASSERT_EQ(Driver.completed(), 400u);
   }
 
-  std::string WantDot, WantWarn;
-  serialReference(Path, WantDot, WantWarn, /*Detect=*/true);
+  Rendered Want = render(Live.graph());
   for (unsigned Jobs : {1u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(Jobs));
-    std::string Dot, Warn;
-    hubResult({Path}, Jobs, Dot, Warn, nullptr, /*Detect=*/true);
-    EXPECT_EQ(Dot, WantDot);
-    EXPECT_EQ(Warn, WantWarn);
+    Ingested Got = ingest({Path}, Jobs);
+    ASSERT_TRUE(Got.Ok) << Got.Err;
+    // Multi-megabyte strings: compare without gtest's full diff.
+    EXPECT_TRUE(Got.Out.Dot == Want.Dot);
+    EXPECT_TRUE(Got.Out.Warnings == Want.Warnings);
   }
   std::remove(Path.c_str());
 }
@@ -285,7 +230,7 @@ TEST(IngestAcmeAir, JobSweepMatchesSerialReplay) {
 
 TEST(IngestMerge, StreamingMergeMatchesBatchAndHarness) {
   using namespace asyncg::cluster;
-  std::string Dir = ::testing::TempDir() + "ingest_shards";
+  std::string Dir = uniqueTempPath("shards", "");
   ASSERT_EQ(::system(("mkdir -p " + Dir).c_str()), 0);
   ClusterConfig CCfg;
   CCfg.Loops = 2;
@@ -294,68 +239,43 @@ TEST(IngestMerge, StreamingMergeMatchesBatchAndHarness) {
   CCfg.RecordDir = Dir;
   ClusterHarness Harness(CCfg);
   Harness.run();
-  std::string HarnessDot = viz::toDot(Harness.merged());
+  // The harness built each shard's graph live (detectors attached) and
+  // merged them: the reference the offline merge must reproduce.
+  Rendered Want = render(Harness.merged());
 
   std::vector<std::string> Paths = {Dir + "/shard0.agtrace",
                                     Dir + "/shard1.agtrace"};
-
-  // Batch reference: serial replay per shard + ShardedGraph::build, with
-  // a detector suite per shard builder exactly as the harness had them.
-  std::string WantDot, WantWarn;
-  {
-    std::vector<std::unique_ptr<ag::AsyncGBuilder>> Builders;
-    std::vector<std::unique_ptr<detect::DetectorSuite>> Suites;
-    std::string Err;
-    for (const std::string &P : Paths) {
-      Builders.emplace_back(new ag::AsyncGBuilder());
-      Suites.emplace_back(new detect::DetectorSuite());
-      Suites.back()->attachTo(*Builders.back());
-      ASSERT_TRUE(instr::replayTrace(P, *Builders.back(), &Err))
-          << P << ": " << Err;
-    }
-    ag::ShardedGraph Merged;
-    std::vector<const ag::AsyncGraph *> Shards;
-    for (auto &B : Builders)
-      Shards.push_back(&B->graph());
-    Merged.build(Shards);
-    WantDot = viz::toDot(Merged.merged());
-    WantWarn = viz::warningsReport(Merged.merged());
-  }
-  EXPECT_EQ(WantDot, HarnessDot)
-      << "batch replay reference diverged from the harness's own merge";
-
   for (unsigned Jobs : {1u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(Jobs));
-    std::string Dot, Warn;
-    ag::IngestStats Stats;
-    hubResult(Paths, Jobs, Dot, Warn, &Stats, /*Detect=*/true);
-    EXPECT_EQ(Dot, WantDot);
-    EXPECT_EQ(Warn, WantWarn);
-    ASSERT_EQ(Stats.Streams.size(), 2u);
+    Ingested Got = ingest(Paths, Jobs);
+    ASSERT_TRUE(Got.Ok) << Got.Err;
+    EXPECT_EQ(Got.Out.Dot, Want.Dot);
+    EXPECT_EQ(Got.Out.Warnings, Want.Warnings);
+    ASSERT_EQ(Got.Stats.Streams.size(), 2u);
     // Round-robin windows: with two live streams every stream must have
     // been scheduled at least once.
-    EXPECT_GE(Stats.Windows, 2u);
+    EXPECT_GE(Got.Stats.Windows, 2u);
     // Cross-loop deliveries exist in any 2-loop cluster run, and the
     // live view must agree with itself: resolved <= seen.
-    EXPECT_GT(Stats.HandoffsSeen, 0u);
-    EXPECT_LE(Stats.HandoffsResolvedLive, Stats.HandoffsSeen);
+    EXPECT_GT(Got.Stats.HandoffsSeen, 0u);
+    EXPECT_LE(Got.Stats.HandoffsResolvedLive, Got.Stats.HandoffsSeen);
   }
   for (const std::string &P : Paths)
     std::remove(P.c_str());
+  std::remove(Dir.c_str());
 }
 
 //===----------------------------------------------------------------------===//
-// Torn-tail recovery parity
+// Torn-tail recovery
 //===----------------------------------------------------------------------===//
 
 TEST(IngestRecovery, TornTailMatchesSerialRecoveredReplay) {
-  // Record a real workload, then cut the file mid-frame. The serial
-  // replay recovers the clean frame prefix; the hub must produce the
-  // exact same graph from the same prefix, at any job count. The
-  // Table-I programs vary widely in trace size, so pick the first one
-  // whose recording is big enough that a 60% cut still lands inside
-  // the record section.
-  std::string Path = tempPath("torn");
+  // Record a real workload, then cut the file mid-frame. The hub must
+  // recover exactly the frames that end before the cut, into the same
+  // graph at any job count. The Table-I programs vary widely in trace
+  // size, so pick the first one whose recording is big enough that a 60%
+  // cut still lands inside the record section.
+  std::string Path = uniqueTempPath("intact");
   std::vector<uint8_t> Image;
   for (const CaseDef &Def : allCases()) {
     instr::TraceRecorder Rec;
@@ -371,34 +291,23 @@ TEST(IngestRecovery, TornTailMatchesSerialRecoveredReplay) {
 
   for (double Frac : {0.9, 0.6}) {
     SCOPED_TRACE("cut at " + std::to_string(Frac));
-    std::string Torn = tempPath("torn_cut");
-    spitBytes(Torn, std::vector<uint8_t>(
-                        Image.begin(),
-                        Image.begin() + static_cast<size_t>(
-                                            Image.size() * Frac)));
+    std::string Torn = uniqueTempPath("torn");
+    size_t Cut = static_cast<size_t>(Image.size() * Frac);
+    spitBytes(Torn, std::vector<uint8_t>(Image.begin(), Image.begin() + Cut));
+    uint64_t Want = recordsOfFramesBefore(Path, Cut);
 
-    ag::AsyncGBuilder Serial;
-    std::string Err;
-    instr::ReplayStats RStats;
-    ASSERT_TRUE(instr::replayTrace(Torn, Serial, &Err,
-                                   instr::ReplayTransport::Auto, &RStats))
-        << Err;
-    ASSERT_TRUE(RStats.Recovered);
-    std::string WantDot = viz::toDot(Serial.graph());
-    std::string WantWarn = viz::warningsReport(Serial.graph());
-
+    Ingested One = ingest({Torn}, 1);
+    ASSERT_TRUE(One.Ok) << One.Err;
     for (unsigned Jobs : {1u, 4u}) {
       SCOPED_TRACE("jobs=" + std::to_string(Jobs));
-      std::string Dot, Warn;
-      ag::IngestStats Stats;
-      hubResult({Torn}, Jobs, Dot, Warn, &Stats);
-      EXPECT_EQ(Dot, WantDot);
-      EXPECT_EQ(Warn, WantWarn);
-      ASSERT_EQ(Stats.Streams.size(), 1u);
-      EXPECT_TRUE(Stats.Streams[0].Recovered);
-      EXPECT_FALSE(Stats.Streams[0].Fallback);
-      EXPECT_EQ(Stats.Streams[0].Records, RStats.Records);
-      EXPECT_GT(Stats.Streams[0].DroppedTailBytes, 0u);
+      Ingested Got = Jobs == 1 ? One : ingest({Torn}, Jobs);
+      ASSERT_TRUE(Got.Ok) << Got.Err;
+      EXPECT_EQ(Got.Out.Dot, One.Out.Dot);
+      EXPECT_EQ(Got.Out.Warnings, One.Out.Warnings);
+      ASSERT_EQ(Got.Stats.Streams.size(), 1u);
+      EXPECT_TRUE(Got.Stats.Streams[0].Recovered);
+      EXPECT_EQ(Got.Stats.Streams[0].Records, Want);
+      EXPECT_GT(Got.Stats.Streams[0].DroppedTailBytes, 0u);
     }
     std::remove(Torn.c_str());
   }
@@ -406,30 +315,63 @@ TEST(IngestRecovery, TornTailMatchesSerialRecoveredReplay) {
 }
 
 //===----------------------------------------------------------------------===//
-// Raw-version fallback
+// Raw v1..v3 rows
 //===----------------------------------------------------------------------===//
 
-TEST(IngestFallback, RawTracesGoThroughReplayTrace) {
+TEST(IngestRaw, RawRowsMatchLiveBuild) {
   const CaseDef &Def = allCases()[0];
+  Rendered Want = liveCase(Def, /*Fixed=*/false);
   for (uint32_t Version : {2u, 3u}) {
     SCOPED_TRACE("v" + std::to_string(Version));
-    std::string Path = tempPath("raw_v" + std::to_string(Version));
+    std::string Path = uniqueTempPath("raw_v" + std::to_string(Version));
     instr::TraceRecorder Rec;
     ASSERT_TRUE(Rec.open(Path, /*Shard=*/0, Version));
     runCaseWith(Def, /*Fixed=*/false, Rec);
     ASSERT_TRUE(Rec.finalize());
 
-    std::string WantDot, WantWarn;
-    serialReference(Path, WantDot, WantWarn);
-    std::string Dot, Warn;
-    ag::IngestStats Stats;
-    hubResult({Path}, 4, Dot, Warn, &Stats);
-    EXPECT_EQ(Dot, WantDot);
-    EXPECT_EQ(Warn, WantWarn);
-    ASSERT_EQ(Stats.Streams.size(), 1u);
-    EXPECT_TRUE(Stats.Streams[0].Fallback);
+    for (unsigned Jobs : {1u, 4u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+      Ingested Got = ingest({Path}, Jobs);
+      ASSERT_TRUE(Got.Ok) << Got.Err;
+      EXPECT_EQ(Got.Out.Dot, Want.Dot);
+      EXPECT_EQ(Got.Out.Warnings, Want.Warnings);
+      ASSERT_EQ(Got.Stats.Streams.size(), 1u);
+      EXPECT_EQ(Got.Stats.Streams[0].Version, Version);
+      EXPECT_EQ(Got.Stats.Streams[0].Records, Rec.recordCount());
+      EXPECT_EQ(Got.Stats.Streams[0].BadRecords, 0u);
+    }
     std::remove(Path.c_str());
   }
+}
+
+TEST(IngestRaw, CorruptRowCountsAsBadRecord) {
+  // A v3 trace of Table-I case 0 with one FuncDef row's opcode overwritten
+  // by an unknown value: the decoder skips that row and must say so.
+  std::string Path = uniqueTempPath("raw_bad");
+  instr::TraceRecorder Rec;
+  ASSERT_TRUE(Rec.open(Path, /*Shard=*/0, /*Version=*/3));
+  runCaseWith(allCases()[0], /*Fixed=*/false, Rec);
+  ASSERT_TRUE(Rec.finalize());
+  std::vector<uint8_t> Bytes = slurpBytes(Path);
+  const size_t Header = sizeof(trace::TraceFileHeader);
+  const size_t Row = sizeof(trace::TraceRecord);
+  bool Patched = false;
+  for (uint64_t I = 0; I != Rec.recordCount() && !Patched; ++I) {
+    uint8_t &Op = Bytes[Header + I * Row];
+    if (Op == static_cast<uint8_t>(trace::TraceOp::FuncDef)) {
+      Op = 0xEE;
+      Patched = true;
+    }
+  }
+  ASSERT_TRUE(Patched);
+  spitBytes(Path, Bytes);
+
+  ag::IngestHub Hub;
+  Hub.addFile(Path);
+  std::string Err;
+  ASSERT_TRUE(Hub.run(&Err)) << Err;
+  EXPECT_EQ(Hub.stats().Streams[0].BadRecords, 1u);
+  std::remove(Path.c_str());
 }
 
 } // namespace

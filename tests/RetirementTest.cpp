@@ -15,7 +15,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceTestUtil.h"
+
 #include "ag/Builder.h"
+#include "ag/IngestHub.h"
 #include "apps/acmeair/App.h"
 #include "apps/acmeair/Workload.h"
 #include "cases/Case.h"
@@ -189,7 +192,7 @@ TEST(RetirementReplay, RecordedTraceAgreesAcrossModes) {
       Def = &D;
   ASSERT_NE(Def, nullptr);
 
-  std::string Path = ::testing::TempDir() + "retirement_replay.agtrace";
+  std::string Path = testutil::uniqueTempPath("replay");
   {
     Runtime RT(Def->Config);
     instr::TraceRecorder Rec;
@@ -200,15 +203,15 @@ TEST(RetirementReplay, RecordedTraceAgreesAcrossModes) {
   }
 
   auto Replay = [&](bool Retire, uint32_t Window) {
-    ag::BuilderConfig BCfg;
-    BCfg.Retire = Retire;
-    BCfg.RetainWindow = Window;
-    ag::AsyncGBuilder Builder(BCfg);
+    ag::IngestOptions Opts;
+    Opts.Builder.Retire = Retire;
+    Opts.Builder.RetainWindow = Window;
+    ag::IngestHub Hub(Opts);
     detect::DetectorSuite Detectors;
-    Detectors.attachTo(Builder);
+    Detectors.attachTo(Hub.builder(Hub.addFile(Path)));
     std::string Err;
-    EXPECT_TRUE(instr::replayTrace(Path, Builder, &Err)) << Err;
-    return warningKeys(Builder.graph());
+    EXPECT_TRUE(Hub.run(&Err)) << Err;
+    return warningKeys(Hub.graph());
   };
 
   std::vector<WarningKey> Off = Replay(false, 8);

@@ -6,12 +6,15 @@
 ///
 /// \file
 /// The codec's correctness contract: a graph rebuilt from a recorded
-/// `.agtrace` trace — or built off-thread through the async pipeline — must
-/// be byte-identical (as DOT) to the graph the builder produces inline.
-/// Runs the check over every Table-I case, buggy and fixed variants. Also
-/// covers trace-file validation (bad magic, wrong version).
+/// `.agtrace` trace through ag::IngestHub — or built off-thread through the
+/// async pipeline — must be byte-identical (as DOT) to the graph the
+/// builder produces inline. Runs the check over every Table-I case, buggy
+/// and fixed variants. Also covers trace-file validation (bad magic, wrong
+/// version).
 ///
 //===----------------------------------------------------------------------===//
+
+#include "TraceTestUtil.h"
 
 #include "ag/AsyncPipeline.h"
 #include "cases/Case.h"
@@ -29,9 +32,8 @@ using namespace asyncg::cases;
 
 namespace {
 
-std::string tempTracePath(const std::string &Tag) {
-  return ::testing::TempDir() + "agtrace_" + Tag + ".agtrace";
-}
+using testutil::ingest;
+using testutil::uniqueTempPath;
 
 /// Builds the reference graph inline (builder attached directly).
 std::string syncDot(const CaseDef &Def, bool Fixed) {
@@ -57,17 +59,16 @@ TEST_P(TraceRoundTrip, ReplayedGraphMatchesSyncDot) {
       continue;
     SCOPED_TRACE(Fixed ? "fixed" : "buggy");
 
-    std::string Path = tempTracePath(Def.Name + (Fixed ? "_f" : "_b"));
+    std::string Path = uniqueTempPath(Fixed ? "fixed" : "buggy");
     instr::TraceRecorder Rec;
     ASSERT_TRUE(Rec.open(Path));
     runCaseWith(Def, Fixed, Rec);
     ASSERT_TRUE(Rec.finalize());
     EXPECT_GT(Rec.recordCount(), 0u);
 
-    ag::AsyncGBuilder Replayed;
-    std::string Err;
-    ASSERT_TRUE(instr::replayTrace(Path, Replayed, &Err)) << Err;
-    EXPECT_EQ(viz::toDot(Replayed.graph()), syncDot(Def, Fixed));
+    testutil::Ingested Got = ingest({Path});
+    ASSERT_TRUE(Got.Ok) << Got.Err;
+    EXPECT_EQ(Got.Out.Dot, testutil::liveCase(Def, Fixed).Dot);
     std::remove(Path.c_str());
   }
 }
@@ -99,22 +100,21 @@ INSTANTIATE_TEST_SUITE_P(AllCases, TraceRoundTrip,
 //===----------------------------------------------------------------------===//
 
 TEST(TraceFile, RejectsBadMagic) {
-  std::string Path = tempTracePath("badmagic");
+  std::string Path = uniqueTempPath("badmagic");
   std::FILE *F = std::fopen(Path.c_str(), "wb");
   ASSERT_NE(F, nullptr);
   const char Junk[64] = "definitely not a trace";
   std::fwrite(Junk, 1, sizeof(Junk), F);
   std::fclose(F);
 
-  ag::AsyncGBuilder B;
-  std::string Err;
-  EXPECT_FALSE(instr::replayTrace(Path, B, &Err));
-  EXPECT_NE(Err.find("bad magic"), std::string::npos) << Err;
+  testutil::Ingested Got = ingest({Path});
+  EXPECT_FALSE(Got.Ok);
+  EXPECT_NE(Got.Err.find("bad magic"), std::string::npos) << Got.Err;
   std::remove(Path.c_str());
 }
 
 TEST(TraceFile, RejectsWrongVersion) {
-  std::string Path = tempTracePath("badversion");
+  std::string Path = uniqueTempPath("badversion");
   // Start from a valid (empty) trace, then corrupt the version field.
   {
     trace::TraceFileWriter W;
@@ -128,19 +128,17 @@ TEST(TraceFile, RejectsWrongVersion) {
   std::fwrite(&Bogus, sizeof(Bogus), 1, F);
   std::fclose(F);
 
-  ag::AsyncGBuilder B;
-  std::string Err;
-  EXPECT_FALSE(instr::replayTrace(Path, B, &Err));
-  EXPECT_NE(Err.find("unsupported trace version"), std::string::npos) << Err;
+  testutil::Ingested Got = ingest({Path});
+  EXPECT_FALSE(Got.Ok);
+  EXPECT_NE(Got.Err.find("unsupported trace version"), std::string::npos)
+      << Got.Err;
   std::remove(Path.c_str());
 }
 
 TEST(TraceFile, RejectsMissingFile) {
-  ag::AsyncGBuilder B;
-  std::string Err;
-  EXPECT_FALSE(
-      instr::replayTrace(tempTracePath("nonexistent_nope"), B, &Err));
-  EXPECT_FALSE(Err.empty());
+  testutil::Ingested Got = ingest({uniqueTempPath("nonexistent_nope")});
+  EXPECT_FALSE(Got.Ok);
+  EXPECT_FALSE(Got.Err.empty());
 }
 
 } // namespace

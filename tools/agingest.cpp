@@ -8,27 +8,22 @@
 // Graph through the parallel ingest hub (ag/IngestHub.h):
 //
 //   agingest --in a.agtrace [--in b.agtrace ...] [--jobs N] [--window N]
-//            [--serial] [--nopromise] [--retire] [--retain-window N]
+//            [--nopromise] [--retire] [--retain-window N]
 //            [--no-detect] [--dot FILE] [--quiet]
 //
 // Multiple --in streams are merged shard-major in argument order (pass
 // cluster shards in shard-id order). --jobs picks the decode parallelism
-// (1 = inline pipelined, the default). --serial bypasses the hub entirely
-// and rebuilds the graph through the classic replayTrace() +
-// ShardedGraph::build() path — the reference for parity checks: for any
-// input set, `agingest --serial` and `agingest --jobs N` must produce
-// byte-identical stdout and --dot output.
+// (1 = inline pipelined, the default); stdout and --dot output are
+// byte-identical at any job count, and equal to the live build of the
+// recorded run (tools/bench_smoke.sh --check diffs them).
 //
 // stdout carries only the deterministic warnings report; ingestion and
 // merge statistics go to stderr (suppressed by --quiet).
 //
 //===----------------------------------------------------------------------===//
 
-#include "ag/Builder.h"
 #include "ag/IngestHub.h"
-#include "ag/ShardedGraph.h"
 #include "detect/Detectors.h"
-#include "instr/TraceCodec.h"
 #include "viz/Dot.h"
 #include "viz/TextReport.h"
 
@@ -46,8 +41,7 @@ namespace {
 int usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s --in FILE [--in FILE ...] [--jobs N] [--window N]\n"
-               "           [--serial] [--nopromise] [--retire]"
-               " [--retain-window N]\n"
+               "           [--nopromise] [--retire] [--retain-window N]\n"
                "           [--no-detect] [--dot FILE] [--quiet]\n",
                Prog);
   return 2;
@@ -68,7 +62,7 @@ bool writeFile(const std::string &Path, const std::string &Content) {
 int main(int Argc, char **Argv) {
   std::vector<std::string> Inputs;
   std::string DotFile;
-  bool Serial = false, NoPromise = false, Retire = false, NoDetect = false;
+  bool NoPromise = false, Retire = false, NoDetect = false;
   bool Quiet = false;
   unsigned long Jobs = 1, Window = 256, RetainWindow = 8;
 
@@ -110,9 +104,7 @@ int main(int Argc, char **Argv) {
                              "tick count\n");
         return 2;
       }
-    } else if (Arg == "--serial")
-      Serial = true;
-    else if (Arg == "--nopromise")
+    } else if (Arg == "--nopromise")
       NoPromise = true;
     else if (Arg == "--retire")
       Retire = true;
@@ -133,97 +125,60 @@ int main(int Argc, char **Argv) {
   Config.Retire = Retire;
   Config.RetainWindow = static_cast<uint32_t>(RetainWindow);
 
-  // One builder + detector suite per stream either way; the suite holds
-  // per-graph state, so it is never shared across builders.
-  std::vector<std::unique_ptr<detect::DetectorSuite>> Suites;
-
-  const ag::AsyncGraph *Result = nullptr;
-
-  // Serial reference path: classic replay + single-shot batch merge.
-  std::vector<std::unique_ptr<ag::AsyncGBuilder>> SerialBuilders;
-  ag::ShardedGraph SerialMerged;
-
-  // Hub path.
   ag::IngestOptions Opts;
   Opts.Jobs = static_cast<unsigned>(Jobs);
   Opts.WindowTicks = static_cast<uint32_t>(Window);
   Opts.Builder = Config;
   ag::IngestHub Hub(Opts);
 
-  if (Serial) {
-    for (const std::string &In : Inputs) {
-      SerialBuilders.emplace_back(new ag::AsyncGBuilder(Config));
-      if (!NoDetect) {
-        Suites.emplace_back(new detect::DetectorSuite());
-        Suites.back()->attachTo(*SerialBuilders.back());
-      }
-      std::string Err;
-      if (!instr::replayTrace(In, *SerialBuilders.back(), &Err)) {
-        std::fprintf(stderr, "error: %s: %s\n", In.c_str(), Err.c_str());
-        return 1;
-      }
+  // One detector suite per stream builder: the suite holds per-graph
+  // state, so it is never shared across builders.
+  std::vector<std::unique_ptr<detect::DetectorSuite>> Suites;
+  for (const std::string &In : Inputs) {
+    size_t S = Hub.addFile(In);
+    if (!NoDetect) {
+      Suites.emplace_back(new detect::DetectorSuite());
+      Suites.back()->attachTo(Hub.builder(S));
     }
-    if (Inputs.size() > 1) {
-      std::vector<const ag::AsyncGraph *> Shards;
-      for (auto &B : SerialBuilders)
-        Shards.push_back(&B->graph());
-      SerialMerged.build(Shards);
-      Result = &SerialMerged.merged();
-    } else {
-      Result = &SerialBuilders.front()->graph();
-    }
-  } else {
-    for (const std::string &In : Inputs) {
-      size_t S = Hub.addFile(In);
-      if (!NoDetect) {
-        Suites.emplace_back(new detect::DetectorSuite());
-        Suites.back()->attachTo(Hub.builder(S));
-      }
-    }
-    std::string Err;
-    if (!Hub.run(&Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 1;
-    }
-    Result = &Hub.graph();
+  }
+  std::string Err;
+  if (!Hub.run(&Err)) {
+    std::fprintf(stderr, "error: %s\n", Err.c_str());
+    return 1;
+  }
+  const ag::AsyncGraph &Result = Hub.graph();
 
-    if (!Quiet) {
-      const ag::IngestStats &IS = Hub.stats();
+  if (!Quiet) {
+    const ag::IngestStats &IS = Hub.stats();
+    std::fprintf(stderr,
+                 "ingest: %llu records in %llu frames across %zu "
+                 "stream(s), %llu window turns, jobs=%lu\n",
+                 static_cast<unsigned long long>(IS.Records),
+                 static_cast<unsigned long long>(IS.Frames), Hub.streams(),
+                 static_cast<unsigned long long>(IS.Windows), Jobs);
+    for (const ag::IngestStreamStats &SS : IS.Streams)
+      std::fprintf(stderr, "  %s: v%u %llu records%s%s\n", SS.Path.c_str(),
+                   SS.Version, static_cast<unsigned long long>(SS.Records),
+                   SS.Recovered ? " (recovered prefix)" : "",
+                   SS.BadRecords ? " [bad records]" : "");
+    if (Hub.streams() > 1) {
+      const ag::MergeStats &MS = Hub.mergeStats();
       std::fprintf(stderr,
-                   "ingest: %llu records in %llu frames across %zu "
-                   "stream(s), %llu window turns, jobs=%lu\n",
-                   static_cast<unsigned long long>(IS.Records),
-                   static_cast<unsigned long long>(IS.Frames),
-                   Hub.streams(),
-                   static_cast<unsigned long long>(IS.Windows), Jobs);
-      for (const ag::IngestStreamStats &SS : IS.Streams)
-        std::fprintf(stderr,
-                     "  %s: v%u %llu records%s%s%s\n", SS.Path.c_str(),
-                     SS.Version,
-                     static_cast<unsigned long long>(SS.Records),
-                     SS.Fallback ? " (fallback replay)" : "",
-                     SS.Recovered ? " (recovered prefix)" : "",
-                     SS.BadRecords ? " [bad records]" : "");
-      if (Hub.streams() > 1) {
-        const ag::MergeStats &MS = Hub.mergeStats();
-        std::fprintf(stderr,
-                     "merge: %llu ticks, %llu nodes, %llu xloop edges "
-                     "(%llu unresolved); live handoffs %llu/%llu\n",
-                     static_cast<unsigned long long>(MS.Ticks),
-                     static_cast<unsigned long long>(MS.Nodes),
-                     static_cast<unsigned long long>(MS.CrossLoopEdges),
-                     static_cast<unsigned long long>(MS.UnresolvedHandoffs),
-                     static_cast<unsigned long long>(
-                         IS.HandoffsResolvedLive),
-                     static_cast<unsigned long long>(IS.HandoffsSeen));
-      }
+                   "merge: %llu ticks, %llu nodes, %llu xloop edges "
+                   "(%llu unresolved); live handoffs %llu/%llu\n",
+                   static_cast<unsigned long long>(MS.Ticks),
+                   static_cast<unsigned long long>(MS.Nodes),
+                   static_cast<unsigned long long>(MS.CrossLoopEdges),
+                   static_cast<unsigned long long>(MS.UnresolvedHandoffs),
+                   static_cast<unsigned long long>(IS.HandoffsResolvedLive),
+                   static_cast<unsigned long long>(IS.HandoffsSeen));
     }
   }
 
-  if (!DotFile.empty() && !writeFile(DotFile, viz::toDot(*Result))) {
+  if (!DotFile.empty() && !writeFile(DotFile, viz::toDot(Result))) {
     std::fprintf(stderr, "error: cannot write %s\n", DotFile.c_str());
     return 1;
   }
-  std::fputs(viz::warningsReport(*Result).c_str(), stdout);
+  std::fputs(viz::warningsReport(Result).c_str(), stdout);
   return 0;
 }
