@@ -452,7 +452,7 @@ int main(int argc, char **argv) {
   std::printf("\n-- degradation ladder cell (synthetic ring pressure) --\n");
   LadderOutcome L = runLadderCell();
   std::printf("  %llu events: %llu escalations, %llu recoveries, %llu "
-              "records shed, final tier %u, degraded %.1f ms\n",
+              "decoration events shed, final tier %u, degraded %.1f ms\n",
               static_cast<unsigned long long>(L.Events),
               static_cast<unsigned long long>(L.D.Escalations),
               static_cast<unsigned long long>(L.D.Recoveries),

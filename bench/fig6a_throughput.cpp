@@ -18,9 +18,6 @@
 //                        at the same time, so this row's slowdown is the
 //                        full always-on production cost (analysis + trace
 //                        artifact).
-//   withpromise-sampled — withpromise-async under a 5% emit-time sampling
-//                        budget; reports tick coverage and dropped
-//                        decoration counts alongside the throughput
 //
 // The async settings use DrainMode::Deferred (records buffer in the ring
 // during the serving window; the builder thread drains at flush), which is
@@ -48,6 +45,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <thread>
 
 using namespace asyncg;
 using namespace asyncg::jsrt;
@@ -62,8 +60,6 @@ struct Setting {
   ag::PipelineMode Mode = ag::PipelineMode::Synchronous;
   /// Tee the run into a v4 trace artifact from the builder thread.
   bool Record = false;
-  /// Emit-time sampling budget (percent of loop wall time; 0 = lossless).
-  double SampleBudget = 0;
 };
 
 struct SettingResult {
@@ -76,8 +72,6 @@ struct SettingResult {
   uint64_t RecordedBytes = 0;
   /// SPSC ring backpressure (async settings; zeros otherwise).
   ag::BackpressureStats BP;
-  /// Sampling coverage (withpromise-sampled; BudgetPct 0 otherwise).
-  ag::SamplingStats Sampling;
 };
 
 SettingResult runSetting(const Setting &S, uint64_t Requests,
@@ -104,7 +98,6 @@ SettingResult runSetting(const Setting &S, uint64_t Requests,
       ag::PipelineConfig PCfg;
       PCfg.Drain = ag::DrainMode::Deferred;
       PCfg.RingCapacity = 1 << 21; // buffer the whole run if it fits
-      PCfg.SampleBudgetPct = S.SampleBudget;
       if (S.Record)
         PCfg.RecordPath = "/tmp/fig6a_" + std::string(S.Name) + ".agtrace";
       Pipeline = std::make_unique<ag::AsyncPipeline>(Builder, PCfg);
@@ -129,7 +122,6 @@ SettingResult runSetting(const Setting &S, uint64_t Requests,
     R.Records = Pipeline->pushedRecords();
     R.RecordedBytes = Pipeline->recordedBytes();
     R.BP = Pipeline->backpressure();
-    R.Sampling = Pipeline->sampling();
     if (S.Record && Pipeline->recordingFailed())
       std::printf("  [%s] WARNING: trace artifact write failed\n", S.Name);
   }
@@ -158,7 +150,7 @@ SettingResult best(const Setting &S, uint64_t Requests, int Reps) {
   return Best;
 }
 
-constexpr int NumSettings = 6;
+constexpr int NumSettings = 5;
 
 } // namespace
 
@@ -184,8 +176,6 @@ int main(int argc, char **argv) {
       {"nopromise-async", true, false, ag::PipelineMode::Async},
       {"withpromise-async", true, true, ag::PipelineMode::Async,
        /*Record=*/true},
-      {"withpromise-sampled", true, true, ag::PipelineMode::Async,
-       /*Record=*/false, /*SampleBudget=*/5.0},
   };
 
   SettingResult Results[NumSettings];
@@ -220,22 +210,14 @@ int main(int argc, char **argv) {
               "record-section bytes (v4 columnar, builder-thread tee)\n",
               static_cast<unsigned long long>(Results[4].Records),
               static_cast<unsigned long long>(Results[4].RecordedBytes));
-  const ag::SamplingStats &SS = Results[5].Sampling;
-  std::printf("withpromise-sampled (%.0f%% budget): %llu/%llu ticks "
-              "decorated (%.1f%% coverage), %llu decoration events "
-              "dropped, est emit %llu ns/event\n\n",
-              SS.BudgetPct,
-              static_cast<unsigned long long>(SS.SampledTicks),
-              static_cast<unsigned long long>(SS.TotalTicks),
-              100.0 * SS.tickCoverage(),
-              static_cast<unsigned long long>(SS.DroppedEvents),
-              static_cast<unsigned long long>(SS.EstEmitNs));
 
   if (!JsonPath.empty()) {
     benchjson::BenchReport Report("fig6a_throughput");
     Report.config("requests", static_cast<double>(Requests));
     Report.config("clients", 8.0);
     Report.config("reps", static_cast<double>(Reps));
+    Report.config("hardware_threads",
+                  static_cast<double>(std::thread::hardware_concurrency()));
     for (int I = 0; I < NumSettings; ++I) {
       Report.metric(std::string(Settings[I].Name) + "/throughput",
                     Results[I].Serving, "req/s");
@@ -255,28 +237,11 @@ int main(int argc, char **argv) {
         Report.metric(std::string(Settings[I].Name) + "/ring_blocked_pushes",
                       static_cast<double>(Results[I].BP.BlockedPushes),
                       "count");
-        Report.metric(std::string(Settings[I].Name) + "/ring_dropped",
-                      static_cast<double>(Results[I].BP.DroppedEvents),
-                      "count");
       }
       if (Settings[I].Record)
         Report.metric(std::string(Settings[I].Name) + "/trace_bytes",
                       static_cast<double>(Results[I].RecordedBytes),
                       "bytes");
-      if (Settings[I].SampleBudget > 0) {
-        const ag::SamplingStats &S = Results[I].Sampling;
-        std::string P = Settings[I].Name;
-        Report.metric(P + "/budget_pct", S.BudgetPct, "%");
-        Report.metric(P + "/ticks_total",
-                      static_cast<double>(S.TotalTicks), "count");
-        Report.metric(P + "/ticks_sampled",
-                      static_cast<double>(S.SampledTicks), "count");
-        Report.metric(P + "/tick_coverage", S.tickCoverage(), "ratio");
-        Report.metric(P + "/dropped_decorations",
-                      static_cast<double>(S.DroppedEvents), "count");
-        Report.metric(P + "/est_emit_ns",
-                      static_cast<double>(S.EstEmitNs), "ns");
-      }
     }
     Report.metric("ordering_holds", ShapeHolds ? 1 : 0, "bool");
     Report.metric("async_beats_inline", AsyncFaster ? 1 : 0, "bool");

@@ -6,13 +6,12 @@
 //
 // The wall-clock companion to fig6a_throughput: AcmeAir served over real
 // loopback TCP by a real kernel backend (--kernel epoll|uring|auto,
-// default epoll), driven by the wire load generator, under three
+// default epoll), driven by the wire load generator, under two
 // instrumentation settings
 //
 //   off      — no analysis attached (the serving floor)
 //   record   — full AsyncG behind the off-thread pipeline, plus a v4
 //              columnar trace artifact per loop (always-on production cost)
-//   sampled  — record under a 5% emit-time sampling budget
 //
 // each at 1 loop and at 4 SO_REUSEPORT-balanced loops. Every cell reports
 // the median of --reps runs (wall-clock numbers jitter; medians gate).
@@ -62,7 +61,6 @@ namespace {
 struct Cell {
   const char *Name;
   bool Instrument;
-  double SampleBudget; // 0 = lossless
   uint32_t Loops;
 };
 
@@ -70,7 +68,6 @@ struct CellResult {
   acmeair::LoadStats Wire;
   uint64_t Records = 0;
   uint64_t RecordedBytes = 0;
-  ag::SamplingStats Sampling;
   sim::KernelStats Sys;
   bool Ok = false;
 
@@ -94,7 +91,6 @@ CellResult runCell(sim::KernelBackend Backend, const Cell &C,
   Cfg.Instrument = C.Instrument;
   Cfg.Mode =
       C.Instrument ? ag::PipelineMode::Async : ag::PipelineMode::Synchronous;
-  Cfg.SampleBudgetPct = C.SampleBudget;
   if (C.Instrument)
     Cfg.RecordDir = RecordDir;
 
@@ -107,9 +103,6 @@ CellResult runCell(sim::KernelBackend Backend, const Cell &C,
   for (const cluster::ShardResult &S : R.Shards) {
     Out.Records += S.PushedRecords;
     Out.RecordedBytes += S.RecordedBytes;
-    Out.Sampling.SampledTicks += S.Sampling.SampledTicks;
-    Out.Sampling.TotalTicks += S.Sampling.TotalTicks;
-    Out.Sampling.DroppedEvents += S.Sampling.DroppedEvents;
   }
   Out.Ok = R.Wire.Completed == Requests && R.Wire.Errors == 0 &&
            R.Wire.DroppedConns == 0;
@@ -205,9 +198,10 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(Requests), Reps, Cores);
 
   const Cell Cells[] = {
-      {"off-1loop", false, 0, 1},      {"record-1loop", true, 0, 1},
-      {"sampled-1loop", true, 5.0, 1}, {"off-4loop", false, 0, 4},
-      {"record-4loop", true, 0, 4},    {"sampled-4loop", true, 5.0, 4},
+      {"off-1loop", false, 1},
+      {"record-1loop", true, 1},
+      {"off-4loop", false, 4},
+      {"record-4loop", true, 4},
   };
   constexpr int NumCells = sizeof(Cells) / sizeof(Cells[0]);
 
@@ -224,7 +218,7 @@ int main(int argc, char **argv) {
               "p50us", "p99us", "slowdown", "rec-bytes", "sys/req");
   double Off1 = Results[0].Wire.ReqPerSec;
   for (int I = 0; I < NumCells; ++I) {
-    double Base = Cells[I].Loops == 1 ? Off1 : Results[3].Wire.ReqPerSec;
+    double Base = Cells[I].Loops == 1 ? Off1 : Results[2].Wire.ReqPerSec;
     std::printf("%-15s %10.0f %9llu %9llu %8.2fx %11llu %9.2f\n",
                 Cells[I].Name, Results[I].Wire.ReqPerSec,
                 static_cast<unsigned long long>(Results[I].Wire.P50Us),
@@ -239,17 +233,11 @@ int main(int argc, char **argv) {
     Report.metric(std::string(Cells[I].Name) + "_p99",
                   static_cast<double>(Results[I].Wire.P99Us), "us");
   }
-  const ag::SamplingStats &SS = Results[2].Sampling;
-  std::printf("\nsampled-1loop coverage: %llu/%llu ticks, %llu decoration "
-              "events dropped\n",
-              static_cast<unsigned long long>(SS.SampledTicks),
-              static_cast<unsigned long long>(SS.TotalTicks),
-              static_cast<unsigned long long>(SS.DroppedEvents));
 
   double RecordSlowdown =
       Results[1].Wire.ReqPerSec > 0 ? Off1 / Results[1].Wire.ReqPerSec : 999;
   double Scaling =
-      Off1 > 0 ? Results[3].Wire.ReqPerSec / Off1 : 0;
+      Off1 > 0 ? Results[2].Wire.ReqPerSec / Off1 : 0;
   Report.config("requests", static_cast<double>(Requests));
   Report.config("reps", static_cast<double>(Reps));
   Report.config("hardware_threads", static_cast<double>(Cores));

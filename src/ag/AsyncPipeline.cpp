@@ -32,10 +32,8 @@ AsyncPipeline::AsyncPipeline(instr::AnalysisBase &Sink, PipelineConfig Config)
   // A pending chunk plus the largest event span must fit all-or-nothing.
   if (this->Config.ProducerChunk > Ring.capacity() / 2)
     this->Config.ProducerChunk = Ring.capacity() / 2;
-  SamplingOn = Config.SampleBudgetPct > 0;
   Start = std::chrono::steady_clock::now();
-  Scratch.reserve(this->Config.ProducerChunk ? this->Config.ProducerChunk + 64
-                                             : 64);
+  Scratch.reserve(this->Config.ProducerChunk + 64);
   Builder = std::thread([this] { consumerMain(); });
 }
 
@@ -132,14 +130,19 @@ void AsyncPipeline::shedPendingDecorations() {
   // Droppable opcodes are contiguous (ApiBase..PromiseLink), so filtering
   // by range removes whole decoration record groups and can never strand
   // an ApiExt/ApiFuncs continuation without its ApiBase.
-  constexpr uint8_t FirstDecor = static_cast<uint8_t>(trace::TraceOp::ApiBase);
-  constexpr uint8_t LastDecor =
-      static_cast<uint8_t>(trace::TraceOp::PromiseLink);
+  using trace::TraceOp;
+  constexpr uint8_t FirstDecor = static_cast<uint8_t>(TraceOp::ApiBase);
+  constexpr uint8_t LastDecor = static_cast<uint8_t>(TraceOp::PromiseLink);
   size_t W = 0;
   uint64_t Shed = 0;
   for (const trace::TraceRecord &R : Scratch) {
     if (R.Op >= FirstDecor && R.Op <= LastDecor) {
-      ++Shed;
+      // Count events, not records: an API call's continuation records
+      // belong to the ApiBase that started it.
+      auto Op = static_cast<TraceOp>(R.Op);
+      if (Op != TraceOp::ApiExt && Op != TraceOp::ApiFuncs &&
+          Op != TraceOp::ApiInputs)
+        ++Shed;
       continue;
     }
     Scratch[W++] = R;
@@ -147,36 +150,6 @@ void AsyncPipeline::shedPendingDecorations() {
   Scratch.resize(W);
   if (Shed)
     LadderShed.fetch_add(Shed, std::memory_order_relaxed);
-}
-
-void AsyncPipeline::pushScratch(bool Structural) {
-  if (Config.Policy != BackpressurePolicy::Drop && Config.ProducerChunk) {
-    // Chunked producer: let events accumulate in Scratch and spill in one
-    // amortized push (ring availability check + two counter updates per
-    // chunk instead of per event). Tick boundaries and flush() push the
-    // remainder, so nothing is held past one loop turn.
-    if (Scratch.size() >= Config.ProducerChunk)
-      pushPending();
-    return;
-  }
-  size_t N = Scratch.size();
-  if (N == 0)
-    return;
-  if (!Ring.tryPushAll(Scratch.data(), N)) {
-    if (!Structural && Config.Policy == BackpressurePolicy::Drop) {
-      DroppedEvents.fetch_add(1, std::memory_order_relaxed);
-      Scratch.clear();
-      return;
-    }
-    pushPending(); // spins until space frees up
-    return;
-  }
-  uint64_t Total = Pushed.load(std::memory_order_relaxed) + N;
-  Pushed.store(Total, std::memory_order_relaxed);
-  uint64_t Depth = Total - Consumed.load(std::memory_order_relaxed);
-  if (Depth > MaxQueueDepth.load(std::memory_order_relaxed))
-    MaxQueueDepth.store(Depth, std::memory_order_relaxed);
-  Scratch.clear();
 }
 
 void AsyncPipeline::flush() {
@@ -256,34 +229,13 @@ void AsyncPipeline::consumerMain() {
   }
 }
 
-void AsyncPipeline::emitEnd(std::chrono::steady_clock::time_point T0) {
-  if (!SamplingOn)
-    return;
-  if (CalibrateLeft) {
-    auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count();
-    --CalibrateLeft;
-    CalibNs += static_cast<uint64_t>(Ns);
-    ++CalibCount;
-    EstEmitNs.store(CalibNs / CalibCount, std::memory_order_relaxed);
-    EstSpentNs.fetch_add(static_cast<uint64_t>(Ns),
-                         std::memory_order_relaxed);
-    return;
-  }
-  // Past calibration: charge the average without touching the clock.
-  EstSpentNs.fetch_add(EstEmitNs.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-}
-
 void AsyncPipeline::onTickBoundary(const instr::TickBoundaryEvent &E) {
   (void)E;
   // Bound chunked-producer latency to one loop turn — but only when the
   // builder is actually consuming live. In Deferred mode it is parked
   // until flush()/stop(), so spilling partial chunks per tick would only
   // defeat the chunk amortization without making the graph any fresher.
-  if (Config.Drain == DrainMode::Concurrent &&
-      Config.Policy != BackpressurePolicy::Drop && Config.ProducerChunk)
+  if (Config.Drain == DrainMode::Concurrent)
     pushPending();
   // Builder-thread watchdog: a live (Concurrent) builder that has not made
   // progress for WatchdogStallMs while a backlog exists is stalled. One
@@ -311,17 +263,11 @@ void AsyncPipeline::onTickBoundary(const instr::TickBoundaryEvent &E) {
   // Degradation-ladder bookkeeping: the per-tick sampling decision for the
   // Sampled tier, and the quiet-ring recovery countdown.
   if (Config.Policy == BackpressurePolicy::Degrade) {
-    ++LadderTicks;
-    uint32_t Stride =
-        Config.LadderSampleStride ? Config.LadderSampleStride : 1;
-    LadderSampleTick = (LadderTicks % Stride) == 0;
+    LadderSampleTick = (++LadderTicks % LadderSampleStride) == 0;
     if (LadderTier != DegradeTier::Lossless) {
       uint64_t Depth = Pushed.load(std::memory_order_relaxed) -
                        Consumed.load(std::memory_order_relaxed);
-      double LowWater =
-          static_cast<double>(Ring.capacity()) * Config.RecoverLowWaterPct /
-          100.0;
-      if (static_cast<double>(Depth) <= LowWater) {
+      if (Depth * 100 <= Ring.capacity() * RecoverLowWaterPct) {
         if (++QuietTicks >= Config.RecoverQuietTicks) {
           setTier(
               static_cast<DegradeTier>(static_cast<uint8_t>(LadderTier) - 1));
@@ -332,89 +278,55 @@ void AsyncPipeline::onTickBoundary(const instr::TickBoundaryEvent &E) {
       }
     }
   }
-  if (!SamplingOn)
-    return;
-  TotalTicks.fetch_add(1, std::memory_order_relaxed);
-  if (CalibrateLeft) {
-    // Still calibrating the per-event cost: emit everything.
-    SampleThisTick = true;
-    SampledTicks.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  auto ElapsedNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - Start)
-                       .count();
-  double AllowedNs =
-      static_cast<double>(ElapsedNs) * Config.SampleBudgetPct / 100.0;
-  SampleThisTick = static_cast<double>(EstSpentNs.load(
-                       std::memory_order_relaxed)) <= AllowedNs;
-  if (SampleThisTick)
-    SampledTicks.fetch_add(1, std::memory_order_relaxed);
 }
 
 void AsyncPipeline::onFunctionEnter(const instr::FunctionEnterEvent &E) {
-  auto T0 = emitStart();
   Encoder.functionEnter(E, Scratch);
-  pushScratch(/*Structural=*/true);
-  emitEnd(T0);
+  pushScratch();
 }
 
 void AsyncPipeline::onFunctionExit(const instr::FunctionExitEvent &E) {
-  auto T0 = emitStart();
   Encoder.functionExit(E, Scratch);
-  pushScratch(/*Structural=*/true);
-  emitEnd(T0);
+  pushScratch();
 }
 
 void AsyncPipeline::onApiCall(const instr::ApiCallEvent &E) {
   if (!decorationGate())
     return;
-  auto T0 = emitStart();
   Encoder.apiCall(E, Scratch);
-  pushScratch(/*Structural=*/false);
-  emitEnd(T0);
+  pushScratch();
 }
 
 void AsyncPipeline::onObjectCreate(const instr::ObjectCreateEvent &E) {
   if (!decorationGate())
     return;
-  auto T0 = emitStart();
   Encoder.objectCreate(E, Scratch);
-  pushScratch(/*Structural=*/false);
-  emitEnd(T0);
+  pushScratch();
 }
 
 void AsyncPipeline::onReactionResult(const instr::ReactionResultEvent &E) {
   if (!decorationGate())
     return;
-  auto T0 = emitStart();
   Encoder.reactionResult(E, Scratch);
-  pushScratch(/*Structural=*/false);
-  emitEnd(T0);
+  pushScratch();
 }
 
 void AsyncPipeline::onPromiseLink(const instr::PromiseLinkEvent &E) {
   if (!decorationGate())
     return;
-  auto T0 = emitStart();
   Encoder.promiseLink(E, Scratch);
-  pushScratch(/*Structural=*/false);
-  emitEnd(T0);
+  pushScratch();
 }
 
 void AsyncPipeline::onObjectRelease(const instr::ObjectReleaseEvent &E) {
-  auto T0 = emitStart();
   Encoder.objectRelease(E, Scratch);
   // Structural: region-pending accounting depends on every release being
-  // observed, so these never drop under BackpressurePolicy::Drop and are
-  // never skipped by sampling.
-  pushScratch(/*Structural=*/true);
-  emitEnd(T0);
+  // observed, so the ladder never sheds these.
+  pushScratch();
 }
 
 void AsyncPipeline::onLoopEnd(const instr::LoopEndEvent &E) {
   Encoder.loopEnd(E, Scratch);
-  pushScratch(/*Structural=*/true);
   // The loop is over: spill any partial chunk so flush() has nothing left
   // to do on the producer side.
   pushPending();

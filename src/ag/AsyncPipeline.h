@@ -20,10 +20,11 @@
 ///
 /// Backpressure when the ring is full is selectable:
 ///  - Block (default): spin-yield until space frees up. Lossless.
-///  - Drop: discard the event and bump droppedEvents(). Only *decoration*
-///    events (API calls, object creation, reaction results, promise links)
-///    are droppable; structural records — function enter/exit and loop end,
-///    which keep the builder's shadow stack balanced — always block.
+///  - Degrade: the degradation ladder (DegradeTier), the one place the
+///    pipeline sheds anything. Only *decoration* events (API calls, object
+///    creation, reaction results, promise links) are shed; structural
+///    records — function enter/exit, object release and loop end, which keep
+///    the builder's shadow stack balanced — are never shed.
 ///
 /// flush() is the completion barrier: it returns once every record pushed
 /// so far has been decoded, so the graph is complete and safe to read
@@ -60,7 +61,6 @@ enum class PipelineMode {
 /// What the producer does when the ring is full.
 enum class BackpressurePolicy {
   Block,   ///< Spin-yield until space frees up (lossless).
-  Drop,    ///< Discard decoration events, counting them.
   Degrade, ///< Escalate the degradation ladder instead of blocking.
 };
 
@@ -88,8 +88,9 @@ const char *degradeTierName(DegradeTier T);
 struct DegradationStats {
   /// Wall time spent in each tier, indexed by DegradeTier.
   uint64_t TimeNs[NumDegradeTiers] = {};
-  /// Decoration records shed by the ladder (gate skips count the event,
-  /// stuck-chunk filtering counts raw records).
+  /// Decoration *events* shed by the ladder, whether skipped at the gate
+  /// or filtered out of a stuck chunk (an API call is one event however
+  /// many records it spans), so delivered + RecordsShed == emitted.
   uint64_t RecordsShed = 0;
   uint64_t Escalations = 0;
   uint64_t Recoveries = 0;
@@ -121,7 +122,7 @@ enum class DrainMode {
   /// in-memory analogue of recording a trace and replaying it afterwards,
   /// right on single-core/saturated machines. Size RingCapacity for the
   /// expected record volume; overflow degrades gracefully into draining
-  /// during the run (Block) or dropping decorations (Drop).
+  /// during the run (Block) or escalating the ladder (Degrade).
   Deferred,
 };
 
@@ -132,39 +133,8 @@ struct BackpressureStats {
   uint64_t BlockedPushes = 0;
   /// Total producer wall time spent spinning on a full ring.
   uint64_t BlockedTimeNs = 0;
-  /// Decoration events discarded under BackpressurePolicy::Drop.
-  uint64_t DroppedEvents = 0;
   /// Deepest pushed-minus-consumed backlog observed at push time.
   uint64_t MaxQueueDepth = 0;
-};
-
-/// Coverage counters for the overhead-budgeted sampling mode
-/// (PipelineConfig::SampleBudgetPct). Like BackpressureStats these travel
-/// alongside the graph so detectors and reports can state degraded
-/// confidence: on unsampled ticks the pipeline emits only structural
-/// events (enter/exit/release/loop-end — the graph skeleton stays exact),
-/// while decoration events (API calls, object creation, reaction results,
-/// promise links) are skipped and counted here. Linearizability and
-/// lifetime warnings that hinge on decorations may therefore be missed —
-/// never fabricated — on unsampled ticks.
-struct SamplingStats {
-  /// Configured budget (percent of loop wall time; 0 = sampling off).
-  double BudgetPct = 0;
-  /// Loop turns observed / turns on which decorations were emitted.
-  uint64_t TotalTicks = 0;
-  uint64_t SampledTicks = 0;
-  /// Decoration events skipped on unsampled ticks (the dropped coverage).
-  uint64_t DroppedEvents = 0;
-  /// Calibrated per-event emit cost and the estimated total emit time the
-  /// budget decisions were based on.
-  uint64_t EstEmitNs = 0;
-  uint64_t EstSpentNs = 0;
-
-  bool enabled() const { return BudgetPct > 0; }
-  /// Fraction of ticks with full decoration coverage (1 when lossless).
-  double tickCoverage() const {
-    return TotalTicks ? static_cast<double>(SampledTicks) / TotalTicks : 1.0;
-  }
 };
 
 struct PipelineConfig {
@@ -175,30 +145,18 @@ struct PipelineConfig {
   size_t DrainBatch = 256;
   BackpressurePolicy Policy = BackpressurePolicy::Block;
   DrainMode Drain = DrainMode::Concurrent;
-  /// Records the producer accumulates before one amortized ring push
-  /// (Block policy only; Drop keeps per-event pushes so a full ring can
-  /// shed exactly one decoration event). Pending records are flushed at
-  /// every tick boundary and at flush(), so builder latency is bounded by
-  /// one loop turn. 0 pushes per event.
+  /// Records the producer accumulates before one amortized ring push.
+  /// Pending records are flushed at every tick boundary and at flush(), so
+  /// builder latency is bounded by one loop turn. 0 pushes per event.
   size_t ProducerChunk = 256;
-  /// Overhead budget for adaptive sampling: the percentage of loop wall
-  /// time the producer may spend emitting (0 = off, lossless). The
-  /// pipeline calibrates the per-event emit cost on its first events,
-  /// then decides once per tick boundary whether the estimated spend is
-  /// under budget; over-budget ticks emit structural events only and
-  /// count skipped decorations in SamplingStats.
-  double SampleBudgetPct = 0;
   /// \name Degradation ladder + watchdog (BackpressurePolicy::Degrade)
   /// @{
   /// How long a full-ring push spins before escalating one tier. Small by
   /// design: the whole point of the ladder is not to block the loop.
   uint64_t EscalateSpinNs = 100 * 1000;
-  /// Sampled tier: decorations are emitted on 1 of this many ticks.
-  uint32_t LadderSampleStride = 4;
-  /// Recovery low-water mark: the ring backlog must stay under this
-  /// percentage of capacity...
-  double RecoverLowWaterPct = 25.0;
-  /// ...for this many consecutive tick boundaries before stepping down.
+  /// Consecutive tick boundaries the ring backlog must stay at or under
+  /// the low-water mark (a quarter of the ring) before the ladder steps
+  /// down one tier.
   uint32_t RecoverQuietTicks = 16;
   /// Builder-thread watchdog: warn (once per episode) when the builder
   /// heartbeat is older than this while the ring has a backlog. 0 = off.
@@ -245,18 +203,12 @@ public:
   uint64_t consumedRecords() const {
     return Consumed.load(std::memory_order_relaxed);
   }
-  /// Decoration events discarded under BackpressurePolicy::Drop.
-  uint64_t droppedEvents() const {
-    return DroppedEvents.load(std::memory_order_relaxed);
-  }
-
   /// Snapshot of the producer's backpressure counters (exact after
   /// flush()/stop(); racy-but-monotone while the loop is running).
   BackpressureStats backpressure() const {
     BackpressureStats S;
     S.BlockedPushes = BlockedPushes.load(std::memory_order_relaxed);
     S.BlockedTimeNs = BlockedTimeNs.load(std::memory_order_relaxed);
-    S.DroppedEvents = DroppedEvents.load(std::memory_order_relaxed);
     S.MaxQueueDepth = MaxQueueDepth.load(std::memory_order_relaxed);
     return S;
   }
@@ -292,19 +244,6 @@ public:
     D.WatchdogStalls = WatchdogStalls.load(std::memory_order_relaxed);
     return D;
   }
-
-  /// Snapshot of the sampling coverage counters (exact after flush()/
-  /// stop()). All zeros except BudgetPct when sampling never kicked in.
-  SamplingStats sampling() const {
-    SamplingStats S;
-    S.BudgetPct = Config.SampleBudgetPct;
-    S.TotalTicks = TotalTicks.load(std::memory_order_relaxed);
-    S.SampledTicks = SampledTicks.load(std::memory_order_relaxed);
-    S.DroppedEvents = SamplingDropped.load(std::memory_order_relaxed);
-    S.EstEmitNs = EstEmitNs.load(std::memory_order_relaxed);
-    S.EstSpentNs = EstSpentNs.load(std::memory_order_relaxed);
-    return S;
-  }
   /// @}
 
   /// \name AnalysisBase hooks (producer side)
@@ -321,16 +260,17 @@ public:
   /// @}
 
 private:
-  /// Emit-cost calibration window for the sampling mode: the first this
-  /// many emitted events are individually timed, after which the running
-  /// average is charged per event with no clock reads on the hot path.
-  static constexpr unsigned CalibrateEvents = 2048;
+  /// Sampled tier: decorations are emitted on 1 of this many ticks.
+  static constexpr uint64_t LadderSampleStride = 4;
+  /// Recovery low-water mark, in percent of ring capacity.
+  static constexpr uint64_t RecoverLowWaterPct = 25;
 
-  /// Pushes Scratch into the ring all-or-nothing. Structural events ignore
-  /// the Drop policy (the shadow stack must stay balanced). Under the
-  /// Block policy with ProducerChunk set, records accumulate in Scratch
-  /// across events and only spill once the chunk fills.
-  void pushScratch(bool Structural);
+  /// Called after each event's records land in Scratch: spills them once
+  /// ProducerChunk records have accumulated (at once when it is 0).
+  void pushScratch() {
+    if (Scratch.size() >= Config.ProducerChunk)
+      pushPending();
+  }
 
   /// Pushes whatever Scratch holds right now (chunk spill / tick boundary
   /// / flush). Producer thread only.
@@ -353,40 +293,20 @@ private:
   /// bucket. Producer thread only.
   void setTier(DegradeTier T);
 
-  /// Removes decoration records from the pending Scratch, counting them
-  /// as shed. Structural records (and whole decoration record groups —
-  /// the droppable opcodes are contiguous) survive.
+  /// Removes decoration records from the pending Scratch, counting each
+  /// shed event once. Structural records (and whole decoration record
+  /// groups — the droppable opcodes are contiguous) survive.
   void shedPendingDecorations();
 
-  /// Sampling gate for decoration events: true = emit. Counts the skip.
-  bool sampleGate() {
-    if (!SamplingOn || SampleThisTick)
+  /// The pipeline's one decoration gate: true = emit. Under Degrade, the
+  /// ladder's current tier decides; a skipped event is counted as shed.
+  bool decorationGate() {
+    if (LadderTier == DegradeTier::Lossless ||
+        (LadderTier == DegradeTier::Sampled && LadderSampleTick))
       return true;
-    SamplingDropped.fetch_add(1, std::memory_order_relaxed);
+    LadderShed.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-
-  /// Combined decoration gate: the degradation ladder first (tier sheds),
-  /// then the overhead-budget sampler.
-  bool decorationGate() {
-    if (Config.Policy == BackpressurePolicy::Degrade &&
-        LadderTier != DegradeTier::Lossless &&
-        (LadderTier == DegradeTier::StructuralOnly || !LadderSampleTick)) {
-      LadderShed.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    return sampleGate();
-  }
-
-  /// \name Emit-cost accounting (no-ops while sampling is off).
-  /// @{
-  std::chrono::steady_clock::time_point emitStart() const {
-    if (SamplingOn && CalibrateLeft)
-      return std::chrono::steady_clock::now();
-    return {};
-  }
-  void emitEnd(std::chrono::steady_clock::time_point T0);
-  /// @}
 
   void consumerMain();
 
@@ -412,22 +332,9 @@ private:
 
   std::atomic<uint64_t> Pushed{0};
   std::atomic<uint64_t> Consumed{0};
-  std::atomic<uint64_t> DroppedEvents{0};
 
-  /// Sampling state. The decision and calibration counters live on the
-  /// producer thread; the exported totals are atomic only so mid-run
-  /// snapshots from other threads stay well-defined.
-  bool SamplingOn = false;
-  bool SampleThisTick = true;
-  unsigned CalibrateLeft = CalibrateEvents;
-  uint64_t CalibNs = 0;
-  uint64_t CalibCount = 0;
+  /// Time base of the ladder and the watchdog.
   std::chrono::steady_clock::time_point Start;
-  std::atomic<uint64_t> EstEmitNs{0};
-  std::atomic<uint64_t> EstSpentNs{0};
-  std::atomic<uint64_t> TotalTicks{0};
-  std::atomic<uint64_t> SampledTicks{0};
-  std::atomic<uint64_t> SamplingDropped{0};
 
   /// Backpressure counters, written by the producer only (atomic so
   /// mid-run snapshots from other threads stay well-defined).

@@ -101,7 +101,6 @@ void runShard(const ClusterConfig &Cfg, sim::ClusterKernel &Kernel,
       ag::PipelineConfig PCfg;
       PCfg.Drain = ag::DrainMode::Deferred;
       PCfg.RingCapacity = Cfg.RingCapacity;
-      PCfg.SampleBudgetPct = Cfg.SampleBudgetPct;
       PCfg.Policy = Cfg.Policy;
       St.Pipeline = std::make_unique<ag::AsyncPipeline>(*St.Builder, PCfg);
       RT.hooks().attach(St.Pipeline.get());
@@ -176,7 +175,6 @@ void runShard(const ClusterConfig &Cfg, sim::ClusterKernel &Kernel,
     St.Pipeline->stop();
     St.Result.PushedRecords = St.Pipeline->pushedRecords();
     St.Result.Backpressure = St.Pipeline->backpressure();
-    St.Result.Sampling = St.Pipeline->sampling();
     St.Result.Degradation = St.Pipeline->degradation();
   }
   if (St.Recorder) {

@@ -91,9 +91,6 @@ struct ClusterConfig {
   int GossipRounds = 8;
   /// Gossip timer period (virtual milliseconds).
   double GossipIntervalMs = 5;
-  /// Overhead budget for the pipeline's adaptive sampling (percent of
-  /// loop wall time; 0 = lossless). Async mode only.
-  double SampleBudgetPct = 0;
   /// When non-empty, each shard records its event stream to
   /// `<RecordDir>/shard<S>.agtrace` (shard id in the stream, so the files
   /// can be replayed into a ShardedGraph merge offline).
@@ -128,8 +125,6 @@ struct ShardResult {
   /// SPSC ring backpressure (zeros when Mode is Synchronous).
   ag::BackpressureStats Backpressure;
   uint64_t PushedRecords = 0;
-  /// Sampling coverage (zeros unless SampleBudgetPct was set).
-  ag::SamplingStats Sampling;
   /// Record-section bytes written to this shard's trace file (0 when
   /// RecordDir is empty).
   uint64_t RecordedBytes = 0;

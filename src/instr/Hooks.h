@@ -223,8 +223,7 @@ struct LoopEndEvent {
 /// dispatches, never mid-event. Not part of the recorded trace (the Async
 /// Graph derives ticks from Enter records); transports use it for
 /// deferred maintenance on the loop thread: the async pipeline flushes
-/// its producer-side record chunk and re-evaluates its overhead-budget
-/// sampling decision here.
+/// its producer-side record chunk and steps its degradation ladder here.
 struct TickBoundaryEvent {
   /// Dispatch tick sequence at the boundary.
   uint64_t TickSeq = 0;

@@ -349,7 +349,7 @@ void Runtime::sweepReleasedObjects() {
 void Runtime::runLoop() {
   while (!StopRequested) {
     // Turn boundary: a safe point between dispatches. Transports flush
-    // producer-side batches and re-evaluate sampling budgets here.
+    // producer-side batches and step their degradation ladders here.
     if (!Hooks.empty())
       Hooks.fireTickBoundary(instr::TickBoundaryEvent{TickSeq});
     sweepReleasedObjects();

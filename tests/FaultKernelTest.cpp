@@ -9,7 +9,8 @@
 /// seed → identical decision stream and digest), FaultKernel jitter and
 /// spurious-wake semantics over the simulated kernel, the async pipeline's
 /// graceful-degradation ladder (escalate under pressure, recover when the
-/// ring drains, structure never shed), the builder-thread watchdog, and —
+/// ring drains, structure never shed, every shed event counted once), the
+/// builder-thread watchdog, and —
 /// on Linux — an end-to-end AcmeAir run over the epoll backend under an
 /// aggressive fault mix where every request still gets accounted for.
 ///
@@ -20,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #ifdef __linux__
@@ -321,6 +324,94 @@ TEST(DegradationLadder, StructureSurvivesFullShed) {
   ag::DegradationStats D = P.degradation();
   EXPECT_EQ(Sink.Objects + D.RecordsShed, Total)
       << "every decoration is either delivered or counted as shed";
+}
+
+/// Counts delivered decorations. The first object creation parks the
+/// builder thread until release(), so the test decides when the ring is
+/// full.
+class LatchedSink : public instr::AnalysisBase {
+public:
+  const char *analysisName() const override { return "latched-sink"; }
+
+  void onApiCall(const instr::ApiCallEvent &) override { ++Delivered; }
+  void onObjectCreate(const instr::ObjectCreateEvent &) override {
+    Parked.store(true, std::memory_order_release);
+    Parked.notify_all();
+    Held.wait(true, std::memory_order_acquire);
+    ++Delivered;
+  }
+
+  /// Producer side: returns once the builder is parked.
+  void waitParked() { Parked.wait(false, std::memory_order_acquire); }
+  void release() {
+    Held.store(false, std::memory_order_release);
+    Held.notify_all();
+  }
+
+  uint64_t Delivered = 0;
+
+private:
+  std::atomic<bool> Parked{false};
+  std::atomic<bool> Held{true};
+};
+
+/// A promise `then` registering \p N callbacks: one ApiBase and one ApiExt
+/// record, plus an ApiFuncs record per three callbacks. Not inlined: when
+/// GCC 12 inlines it into the test body under -fsanitize=undefined, the null
+/// check on the thread_local event counter's address reads stale flags and
+/// reports a null load that never happens.
+[[gnu::noinline]] instr::ApiCallEvent callWithCallbacks(jsrt::FunctionId N) {
+  instr::ApiCallEvent Call;
+  Call.Api = jsrt::ApiKind::PromiseThen;
+  for (jsrt::FunctionId Id = 1; Id <= N; ++Id) {
+    auto Data = std::make_shared<jsrt::FunctionData>();
+    Data->Id = Id;
+    Call.Callbacks.emplace_back(Data);
+  }
+  return Call;
+}
+
+/// RecordsShed counts events at both places the ladder sheds: the tier gate
+/// and the stuck-chunk filter. An API call spans several records, but it is
+/// one event, so delivered + shed == issued holds when one is shed.
+TEST(DegradationLadder, ShedCountsEventsNotRecords) {
+  LatchedSink Sink;
+
+  ag::PipelineConfig Cfg;
+  Cfg.RingCapacity = 1024;
+  Cfg.Policy = ag::BackpressurePolicy::Degrade;
+  Cfg.Drain = ag::DrainMode::Concurrent;
+  Cfg.ProducerChunk = 0;
+  Cfg.EscalateSpinNs = 20000;
+  ag::AsyncPipeline P(Sink, Cfg);
+
+  // Park the builder on the first object, so it holds no more of the ring
+  // than that one record. One-record decorations then fill the ring; the
+  // push that finds it full escalates to Sampled and sheds itself.
+  uint64_t Issued = 1;
+  instr::ObjectCreateEvent Ev;
+  Ev.Obj = Issued;
+  P.onObjectCreate(Ev);
+  Sink.waitParked();
+  while (P.degradation().Escalations == 0 && Issued < 100000) {
+    Ev.Obj = ++Issued;
+    P.onObjectCreate(Ev);
+  }
+  EXPECT_EQ(P.degradation().Escalations, 1u);
+
+  // No tick boundary has passed, so the Sampled gate lets this call
+  // through. Its four records (ApiBase, ApiExt, two ApiFuncs) meet the
+  // still-full ring, escalate once more and are shed as one event.
+  P.onApiCall(callWithCallbacks(4));
+  ++Issued;
+  EXPECT_EQ(P.degradation().Escalations, 2u)
+      << "the API call must reach the ring and be shed there";
+
+  Sink.release();
+  P.stop();
+  EXPECT_EQ(Sink.Delivered + P.degradation().RecordsShed, Issued)
+      << "every decoration event is either delivered or counted as shed "
+         "exactly once";
 }
 
 TEST(DegradationLadder, WatchdogCountsBuilderStalls) {

@@ -8,9 +8,8 @@
 /// Exercises the SPSC ring's single-threaded edges (full/empty, wraparound,
 /// all-or-nothing batches) and its cross-thread FIFO contract under a tiny
 /// capacity that forces constant wraparound — the test to run under TSan
-/// (-DASYNCG_TSAN=ON). Also checks the async pipeline's drop-counter
-/// accounting: every event is either delivered or counted as dropped, and
-/// structural events are never dropped.
+/// (-DASYNCG_TSAN=ON). Also checks that the async pipeline's Block policy
+/// delivers every event, with a parked (Deferred) builder as well.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -175,73 +174,15 @@ class CountingSink : public instr::AnalysisBase {
 public:
   const char *analysisName() const override { return "counting-sink"; }
 
-  void onFunctionEnter(const instr::FunctionEnterEvent &) override {
-    ++Enters;
-  }
-  void onFunctionExit(const instr::FunctionExitEvent &) override { ++Exits; }
   void onObjectCreate(const instr::ObjectCreateEvent &) override {
     ++Objects;
     if (ThrottleEvery && Objects % ThrottleEvery == 0)
       std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 
-  uint64_t Enters = 0;
-  uint64_t Exits = 0;
   uint64_t Objects = 0;
   uint64_t ThrottleEvery = 0;
 };
-
-TEST(AsyncPipelineBackpressure, DropCounterAccountsForEveryEvent) {
-  CountingSink Sink;
-  Sink.ThrottleEvery = 64; // make the consumer lose the race
-
-  ag::PipelineConfig Cfg;
-  Cfg.RingCapacity = 1024;
-  Cfg.Policy = ag::BackpressurePolicy::Drop;
-  constexpr uint64_t Total = 20000;
-  {
-    ag::AsyncPipeline P(Sink, Cfg);
-    instr::ObjectCreateEvent Ev;
-    Ev.IsPromise = true;
-    for (uint64_t I = 0; I != Total; ++I) {
-      Ev.Obj = I + 1;
-      P.onObjectCreate(Ev);
-    }
-    P.stop();
-    // Every event either reached the sink or was counted as dropped.
-    EXPECT_EQ(Sink.Objects + P.droppedEvents(), Total);
-  }
-}
-
-TEST(AsyncPipelineBackpressure, StructuralEventsNeverDrop) {
-  CountingSink Sink;
-  Sink.ThrottleEvery = 0;
-
-  ag::PipelineConfig Cfg;
-  Cfg.RingCapacity = 1024;
-  Cfg.Policy = ag::BackpressurePolicy::Drop;
-
-  auto Data = std::make_shared<jsrt::FunctionData>();
-  Data->Id = 1;
-  Data->Name = "f";
-  jsrt::Function F(Data);
-  jsrt::CallArgs Args;
-  jsrt::DispatchInfo Dispatch;
-  jsrt::Completion Result;
-
-  constexpr uint64_t Total = 50000;
-  ag::AsyncPipeline P(Sink, Cfg);
-  for (uint64_t I = 0; I != Total; ++I) {
-    instr::FunctionEnterEvent Enter{F, Args, Dispatch};
-    P.onFunctionEnter(Enter);
-    instr::FunctionExitEvent Exit{F, Result, Dispatch};
-    P.onFunctionExit(Exit);
-  }
-  P.stop();
-  EXPECT_EQ(Sink.Enters, Total);
-  EXPECT_EQ(Sink.Exits, Total);
-  EXPECT_EQ(P.droppedEvents(), 0u) << "structural events must block, not drop";
-}
 
 /// Deferred drain: the builder thread parks while the ring buffers events;
 /// nothing reaches the sink until flush() (given a ring big enough for the
@@ -286,7 +227,6 @@ TEST(AsyncPipelineDeferred, OverflowWakesConsumerAndStaysLossless) {
     }
     P.stop();
     EXPECT_EQ(Sink.Objects, Total);
-    EXPECT_EQ(P.droppedEvents(), 0u);
     EXPECT_EQ(P.pushedRecords(), P.consumedRecords());
   }
 }
@@ -307,7 +247,6 @@ TEST(AsyncPipelineBackpressure, BlockPolicyIsLossless) {
   }
   P.stop();
   EXPECT_EQ(Sink.Objects, Total);
-  EXPECT_EQ(P.droppedEvents(), 0u);
   EXPECT_EQ(P.pushedRecords(), P.consumedRecords());
 }
 

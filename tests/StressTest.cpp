@@ -167,7 +167,6 @@ TEST(Stress, AcmeAirAsyncPipelineMatchesSync) {
     Pipeline.stop();
     EXPECT_GT(Pipeline.pushedRecords(), 10000u);
     EXPECT_EQ(Pipeline.pushedRecords(), Pipeline.consumedRecords());
-    EXPECT_EQ(Pipeline.droppedEvents(), 0u);
   }
 
   EXPECT_EQ(viz::toDot(OffThread.graph()), viz::toDot(Sync.graph()));

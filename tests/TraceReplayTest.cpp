@@ -7,10 +7,10 @@
 /// \file
 /// The codec's correctness contract: a graph rebuilt from a recorded
 /// `.agtrace` trace through ag::IngestHub — or built off-thread through the
-/// async pipeline — must be byte-identical (as DOT) to the graph the
-/// builder produces inline. Runs the check over every Table-I case, buggy
-/// and fixed variants. Also covers trace-file validation (bad magic, wrong
-/// version).
+/// async pipeline under either backpressure policy — must be byte-identical
+/// (as DOT) to the graph the builder produces inline. Runs the check over
+/// every Table-I case, buggy and fixed variants. Also covers trace-file
+/// validation (bad magic, wrong version).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,7 @@
 #include "ag/AsyncPipeline.h"
 #include "cases/Case.h"
 #include "instr/TraceCodec.h"
-#include "viz/Dot.h"
+#include "detect/Detectors.h"
 
 #include <gtest/gtest.h>
 
@@ -34,13 +34,6 @@ namespace {
 
 using testutil::ingest;
 using testutil::uniqueTempPath;
-
-/// Builds the reference graph inline (builder attached directly).
-std::string syncDot(const CaseDef &Def, bool Fixed) {
-  ag::AsyncGBuilder Builder;
-  runCaseWith(Def, Fixed, Builder);
-  return viz::toDot(Builder.graph());
-}
 
 class TraceRoundTrip : public ::testing::TestWithParam<size_t> {};
 
@@ -75,19 +68,36 @@ TEST_P(TraceRoundTrip, ReplayedGraphMatchesSyncDot) {
 
 TEST_P(TraceRoundTrip, AsyncPipelineGraphMatchesSyncDot) {
   const CaseDef &Def = allCases()[GetParam()];
-  for (bool Fixed : {false, true}) {
-    if (Fixed && !Def.HasFix)
-      continue;
-    SCOPED_TRACE(Fixed ? "fixed" : "buggy");
+  for (ag::BackpressurePolicy Policy :
+       {ag::BackpressurePolicy::Block, ag::BackpressurePolicy::Degrade}) {
+    SCOPED_TRACE(Policy == ag::BackpressurePolicy::Block ? "block"
+                                                         : "degrade");
+    for (bool Fixed : {false, true}) {
+      if (Fixed && !Def.HasFix)
+        continue;
+      SCOPED_TRACE(Fixed ? "fixed" : "buggy");
 
-    ag::AsyncGBuilder OffThread;
-    {
-      ag::AsyncPipeline Pipeline(OffThread);
-      runCaseWith(Def, Fixed, Pipeline);
-      Pipeline.stop();
-      EXPECT_EQ(Pipeline.droppedEvents(), 0u);
+      ag::AsyncGBuilder OffThread;
+      detect::DetectorSuite Detectors;
+      Detectors.attachTo(OffThread);
+      ag::PipelineConfig Cfg;
+      Cfg.Policy = Policy;
+      ag::DegradationStats D;
+      {
+        ag::AsyncPipeline Pipeline(OffThread, Cfg);
+        runCaseWith(Def, Fixed, Pipeline);
+        Pipeline.stop();
+        D = Pipeline.degradation();
+      }
+      // A Table-I case never fills the default ring, so the ladder must
+      // not have moved: parity holds with nothing shed.
+      EXPECT_EQ(D.Escalations, 0u);
+      EXPECT_EQ(D.RecordsShed, 0u);
+      testutil::Rendered Live = testutil::liveCase(Def, Fixed);
+      testutil::Rendered Got = testutil::render(OffThread.graph());
+      EXPECT_EQ(Got.Dot, Live.Dot);
+      testutil::expectLiveWarnings(Got.Warnings, Live.Warnings, Def, Fixed);
     }
-    EXPECT_EQ(viz::toDot(OffThread.graph()), syncDot(Def, Fixed));
   }
 }
 

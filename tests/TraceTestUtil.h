@@ -97,11 +97,12 @@ inline Rendered liveCase(const cases::CaseDef &Def, bool Fixed) {
   return render(Builder.graph());
 }
 
-/// Checks a replay's warnings report against the live build's. They agree
+/// Checks the warnings report of a graph built through the trace codec (a
+/// replay, or the async pipeline) against the live build's. They agree
 /// byte for byte except where a warning names a callback that never runs:
-/// the recorder defines a function (TraceOp::FuncDef) only when it is first
-/// entered, so a replay knows such a callback by id alone and the name in
-/// the warning text is empty. Among the Table-I cases only SO-10444077's
+/// the encoder defines a function (TraceOp::FuncDef) only when it is first
+/// entered, so the decoder knows such a callback by id alone and the name
+/// in the warning text is empty. Among the Table-I cases only SO-10444077's
 /// buggy variant does this (it removes a fresh, never-called handler);
 /// there the reports must still agree line for line.
 inline void expectLiveWarnings(const std::string &Got, const std::string &Live,

@@ -11,8 +11,7 @@
 //   acmeair_cluster [--loops N] [--requests N] [--clients N] [--seed N]
 //                   [--kernel sim|epoll|uring|auto] [--port N] [--probe]
 //                   [--sync] [--no-gossip] [--baseline] [--dot FILE]
-//                   [--record-dir DIR] [--trace-version N]
-//                   [--sample-budget PCT] [--degrade]
+//                   [--record-dir DIR] [--trace-version N] [--degrade]
 //                   [--fault-spec kind:rate,...|default] [--fault-seed N]
 //
 // --kernel epoll or uring (Linux only) swaps the virtual-time kernel for a
@@ -25,9 +24,7 @@
 //
 // --record-dir writes one `.agtrace` per shard (shard<S>.agtrace) in the
 // chosen --trace-version (default v4 columnar frames) for offline replay
-// and merge. --sample-budget caps each shard pipeline's instrumentation
-// overhead at PCT percent of loop wall time; the dropped decoration
-// coverage is reported per shard.
+// and merge.
 //
 // --fault-spec enables deterministic fault injection (DESIGN.md §5i) at
 // the given per-decision rates; --fault-seed selects the schedule (each
@@ -131,13 +128,7 @@ int main(int argc, char **argv) {
       Cfg.Instrument = false;
     else if (!std::strcmp(argv[I], "--trace-version"))
       Cfg.TraceVer = static_cast<uint32_t>(Num("--trace-version"));
-    else if (!std::strcmp(argv[I], "--sample-budget")) {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "--sample-budget needs a value\n");
-        return 2;
-      }
-      Cfg.SampleBudgetPct = std::atof(argv[++I]);
-    } else if (!std::strcmp(argv[I], "--fault-spec")) {
+    else if (!std::strcmp(argv[I], "--fault-spec")) {
       if (I + 1 >= argc) {
         std::fprintf(stderr, "--fault-spec needs a value\n");
         return 2;
@@ -172,9 +163,8 @@ int main(int argc, char **argv) {
                    "          [--sync] [--no-gossip] [--baseline]"
                    " [--dot FILE]\n"
                    "          [--record-dir DIR] [--trace-version N]"
-                   " [--sample-budget PCT]\n"
-                   "          [--degrade] [--fault-spec kind:rate,...]"
-                   " [--fault-seed N]\n",
+                   " [--degrade]\n"
+                   "          [--fault-spec kind:rate,...] [--fault-seed N]\n",
                    argv[0]);
       return 2;
     }
@@ -199,10 +189,6 @@ int main(int argc, char **argv) {
   if (Cfg.TraceVer < 2 || Cfg.TraceVer > trace::TraceVersion) {
     std::fprintf(stderr, "--trace-version must be 2..%u\n",
                  trace::TraceVersion);
-    return 2;
-  }
-  if (Cfg.SampleBudgetPct < 0 || Cfg.SampleBudgetPct > 100) {
-    std::fprintf(stderr, "--sample-budget must be in [0, 100]\n");
     return 2;
   }
   if (!Cfg.RecordDir.empty() && Cfg.Loops > 1 && Cfg.TraceVer < 3) {
@@ -254,16 +240,6 @@ int main(int argc, char **argv) {
                 Cfg.TraceVer, static_cast<unsigned long long>(Bytes),
                 Cfg.RecordDir.c_str());
   }
-  if (Cfg.SampleBudgetPct > 0) {
-    for (size_t S = 0; S != R.Shards.size(); ++S) {
-      const ag::SamplingStats &SS = R.Shards[S].Sampling;
-      std::printf("s%zu sampling: %llu/%llu ticks covered, %llu decoration "
-                  "events skipped\n",
-                  S, static_cast<unsigned long long>(SS.SampledTicks),
-                  static_cast<unsigned long long>(SS.TotalTicks),
-                  static_cast<unsigned long long>(SS.DroppedEvents));
-    }
-  }
   if (Cfg.Faults.any()) {
     std::printf("faults: spec %s, seed %llu: %llu injected over %llu "
                 "decision(s)\n",
@@ -289,7 +265,7 @@ int main(int argc, char **argv) {
   if (Cfg.Policy == ag::BackpressurePolicy::Degrade) {
     const ag::DegradationStats &D = R.Degradation;
     std::printf("degradation ladder: %llu escalation(s), %llu recover(ies), "
-                "%llu record(s) shed, %llu watchdog stall(s); "
+                "%llu decoration event(s) shed, %llu watchdog stall(s); "
                 "tier ms lossless/sampled/structural %.1f/%.1f/%.1f\n",
                 static_cast<unsigned long long>(D.Escalations),
                 static_cast<unsigned long long>(D.Recoveries),

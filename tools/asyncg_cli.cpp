@@ -11,8 +11,8 @@
 //   asyncg_cli --list
 //   asyncg_cli --case SO-33330277 [--fixed] [--nopromise] [--async]
 //              [--retire] [--retain-window N] [--record FILE]
-//              [--trace-version N] [--sample-budget PCT] [--dot FILE]
-//              [--json FILE] [--html FILE] [--quiet]
+//              [--trace-version N] [--dot FILE] [--json FILE]
+//              [--html FILE] [--quiet]
 //   asyncg_cli --replay FILE [--nopromise] [--retire] [--retain-window N]
 //              [--dot FILE] [--json FILE] [--html FILE] [--quiet]
 //
@@ -22,11 +22,7 @@
 // .agtrace of the run (--trace-version picks the file encoding: 4 =
 // columnar delta frames, the default; 2/3 = raw 32-byte rows), and
 // --replay rebuilds a graph from such a trace without executing any case
-// (through ag::IngestHub, the one trace reader). --sample-budget enables
-// overhead-budgeted sampling in the async pipeline: decoration events are
-// emitted only while the estimated instrumentation spend stays under PCT
-// percent of loop wall time, and the dropped coverage is reported so
-// detector confidence can be judged.
+// (through ag::IngestHub, the one trace reader).
 // --retire enables tick-epoch retirement (bounded-memory steady state):
 // quiesced regions older than the retain window (--retain-window, default
 // 8 ticks) are folded into summary counters and reclaimed; warnings are
@@ -65,9 +61,8 @@ int usage(const char *Prog) {
                "           [--retire]\n"
                "           [--retain-window N] [--record FILE]"
                " [--trace-version N]\n"
-               "           [--sample-budget PCT] [--dot FILE]"
-               " [--json FILE]\n"
-               "           [--html FILE] [--quiet]\n"
+               "           [--dot FILE] [--json FILE] [--html FILE]"
+               " [--quiet]\n"
                "       %s --replay FILE [--nopromise] [--retire]"
                " [--retain-window N]\n"
                "           [--dot FILE] [--json FILE] [--html FILE]"
@@ -86,7 +81,6 @@ int main(int Argc, char **Argv) {
   bool KernelSet = false;
   unsigned long RetainWindow = 8;
   unsigned long TraceVer = trace::TraceVersion;
-  double SampleBudget = 0;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -129,19 +123,6 @@ int main(int Argc, char **Argv) {
           TraceVer > trace::TraceVersion) {
         std::fprintf(stderr, "error: --trace-version expects 2..%u\n",
                      trace::TraceVersion);
-        return 2;
-      }
-    } else if (Arg == "--sample-budget") {
-      std::string N;
-      if (!Next(N))
-        return usage(Argv[0]);
-      char *End = nullptr;
-      SampleBudget = std::strtod(N.c_str(), &End);
-      if (End == N.c_str() || *End != '\0' || SampleBudget <= 0 ||
-          SampleBudget > 100) {
-        std::fprintf(stderr,
-                     "error: --sample-budget expects a percentage in "
-                     "(0, 100]\n");
         return 2;
       }
     } else if (Arg == "--kernel") {
@@ -187,11 +168,6 @@ int main(int Argc, char **Argv) {
   }
   if (CaseName.empty() == ReplayFile.empty()) // exactly one of the two
     return usage(Argv[0]);
-  if (SampleBudget > 0 && !Async) {
-    std::fprintf(stderr, "error: --sample-budget requires --async (the "
-                         "budget governs the pipeline producer)\n");
-    return 2;
-  }
   if (KernelSet) {
     std::string Why;
     if (!sim::kernelBackendAvailable(Backend, &Why)) {
@@ -284,9 +260,7 @@ int main(int Argc, char **Argv) {
   Detectors.attachTo(Builder);
   std::unique_ptr<ag::AsyncPipeline> Pipeline;
   if (Async) {
-    ag::PipelineConfig PCfg;
-    PCfg.SampleBudgetPct = SampleBudget;
-    Pipeline = std::make_unique<ag::AsyncPipeline>(Builder, PCfg);
+    Pipeline = std::make_unique<ag::AsyncPipeline>(Builder);
     RT.hooks().attach(Pipeline.get());
   } else {
     RT.hooks().attach(&Builder);
@@ -314,20 +288,6 @@ int main(int Argc, char **Argv) {
                   static_cast<unsigned long long>(Recorder.recordCount()),
                   static_cast<unsigned long long>(Recorder.recordBytes()),
                   RecordFile.c_str());
-  }
-  if (Pipeline && SampleBudget > 0) {
-    ag::SamplingStats SS = Pipeline->sampling();
-    std::fprintf(stderr,
-                 "sampling: budget %.1f%%, %llu/%llu ticks covered, "
-                 "%llu decoration events skipped\n",
-                 SS.BudgetPct,
-                 static_cast<unsigned long long>(SS.SampledTicks),
-                 static_cast<unsigned long long>(SS.TotalTicks),
-                 static_cast<unsigned long long>(SS.DroppedEvents));
-    if (SS.DroppedEvents)
-      std::fprintf(stderr,
-                   "sampling: coverage incomplete — linearizability and "
-                   "lifetime warnings may be missed (never fabricated)\n");
   }
   if (Found->PostAnalysis)
     Found->PostAnalysis(RT, Builder.graph());

@@ -46,7 +46,9 @@
 #   - configures a TSan build (-DASYNCG_TSAN=ON) and runs the SPSC ring
 #     and multi-loop cluster tests under it, plus the ingest test suite —
 #     the MpmcQueue stress and the jobs>=2 decode pool (workers + ordered
-#     committer + steal path) are the new concurrent surface.
+#     committer + steal path) — and the degradation-ladder tests, since
+#     the ladder is the pipeline's only shedding path and its counters
+#     cross threads.
 #
 # Usage: tools/bench_smoke.sh [--check] [--baseline DIR] [build-dir]
 #        (default build dir: build-bench-smoke)
@@ -317,15 +319,18 @@ EOF
   echo "== [check] configuring TSan build in $TSAN_DIR"
   cmake -S "$REPO_ROOT" -B "$TSAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DASYNCG_TSAN=ON >/dev/null
-  echo "== [check] building spsc_ring_test + cluster_test + ingest_test"
+  echo "== [check] building spsc_ring_test + cluster_test + ingest_test" \
+    "+ fault_kernel_test"
   cmake --build "$TSAN_DIR" --target spsc_ring_test cluster_test ingest_test \
-    -j >/dev/null
+    fault_kernel_test -j >/dev/null
   echo "== [check] running SPSC ring tests under TSan"
   "$TSAN_DIR/tests/spsc_ring_test"
   echo "== [check] running multi-loop cluster tests under TSan"
   "$TSAN_DIR/tests/cluster_test"
   echo "== [check] running ingest decode pool + MpmcQueue tests under TSan"
   "$TSAN_DIR/tests/ingest_test"
+  echo "== [check] running degradation-ladder tests under TSan"
+  "$TSAN_DIR/tests/fault_kernel_test" --gtest_filter='DegradationLadder.*'
   echo "== [check] TSan concurrency checks OK"
 fi
 
