@@ -222,22 +222,21 @@ bool IngestHub::prepareStream(Stream &S, std::string *Err) {
                                              P.Base));
 
   S.Limit = P.Frames.size();
-  if (Opts.PreSize) {
-    // Pre-size the graph (node/edge/tick/adjacency storage and the four
-    // node indices) and the decoder's function table from the exact record
-    // count the pre-scan established. The divisors slightly overshoot the
-    // observed record:node (~2.8), record:edge (~1.7), record:tick (~7.5)
-    // and record:funcdef (~12) ratios of the paper workloads so the
-    // *last* — and costliest — rehash/reallocation never happens
-    // mid-ingest.
-    uint64_t Records = P.Records;
-    if (Opts.Builder.BuildGraph)
-      S.Builder->graph().reserveHint(
-          static_cast<size_t>(Records / 2 + 1024),
-          static_cast<size_t>(Records * 2 / 3 + 1024),
-          static_cast<size_t>(Records / 6 + 64));
-    S.Decoder.reserveFuncs(static_cast<size_t>(Records / 8 + 256));
-  }
+  // Pre-size the graph (node/edge/tick/adjacency storage and the four node
+  // indices) and the decoder's function table from the exact record count
+  // the pre-scan established. The divisors slightly overshoot the observed
+  // record:node (~2.8), record:edge (~1.7), record:tick (~7.5) and
+  // record:funcdef (~12) ratios of the paper workloads so the *last* — and
+  // costliest — rehash/reallocation never happens mid-ingest. A retiring
+  // graph only ever holds its retain window, so it keeps the builder's own
+  // hints: sizing it for the whole trace would reserve storage it never
+  // fills.
+  uint64_t Records = P.Records;
+  if (Opts.Builder.BuildGraph && !Opts.Builder.Retire)
+    S.Builder->graph().reserveHint(static_cast<size_t>(Records / 2 + 1024),
+                                   static_cast<size_t>(Records * 2 / 3 + 1024),
+                                   static_cast<size_t>(Records / 6 + 64));
+  S.Decoder.reserveFuncs(static_cast<size_t>(Records / 8 + 256));
   if (Opts.Jobs >= 2)
     S.Slots = std::vector<Stream::Slot>(2 * Opts.Jobs + 2);
   return true;

@@ -81,11 +81,9 @@ struct IngestOptions {
   /// across streams; the final merged graph is identical either way.
   uint32_t WindowTicks = 256;
   /// Builder template applied to every stream (promise/emitter filtering,
-  /// retirement, ...). The storage hints are superseded by the pre-scan
-  /// unless PreSize is off.
+  /// retirement, ...). Unless Retire is on, the storage hints are
+  /// superseded by the pre-scanned record count.
   BuilderConfig Builder;
-  /// Pre-size each stream's graph from the pre-scanned record count.
-  bool PreSize = true;
 };
 
 /// Per-stream outcome counters.

@@ -14,8 +14,8 @@
 #include "node/Cluster.h"
 
 #ifdef __linux__
+#include "sim/EpollKernel.h"
 #include "sim/EpollNetwork.h"
-#include "sim/RealKernel.h"
 #endif
 
 #include <algorithm>
@@ -48,7 +48,7 @@ struct ShardState {
 #ifdef __linux__
   /// The shard's real kernel (wire mode only) — the harness's handle for
   /// requestStop() once the wire load completes.
-  std::atomic<sim::RealKernel *> RK{nullptr};
+  std::atomic<sim::EpollKernel *> RK{nullptr};
 #endif
   ShardResult Result;
 };
@@ -69,11 +69,10 @@ void runShard(const ClusterConfig &Cfg, sim::ClusterKernel &Kernel,
 #ifdef __linux__
   if (Cfg.Backend != sim::KernelBackend::Sim) {
     // realKernel() unwraps a FaultKernel decorator when faults are on.
-    auto *RK = static_cast<sim::RealKernel *>(&RT.realKernel());
+    auto *RK = static_cast<sim::EpollKernel *>(&RT.realKernel());
     St.RK.store(RK, std::memory_order_release);
-    // Cross-loop posts must reach a loop blocked in epoll_wait or
-    // io_uring_enter, where the cluster condvar cannot; wakeup() writes
-    // the kernel's eventfd.
+    // Cross-loop posts must reach a loop blocked in epoll_wait, where the
+    // cluster condvar cannot; wakeup() writes the kernel's eventfd.
     if (Cfg.Loops > 1)
       Kernel.setWakeHook(S, [RK] { RK->wakeup(); });
   }
@@ -227,13 +226,13 @@ asyncg::cluster::resolveWarnings(const ag::AsyncGraph &G) {
 ClusterResult ClusterHarness::run() {
   ClusterResult R;
   const uint32_t N = Config.Loops;
-  // Real backends (epoll, uring) serve wire traffic: every shard binds
+  // The epoll backend serves wire traffic: every shard binds
   // Config.Port with SO_REUSEPORT and the in-process load generator drives
   // them from this thread. In-loop WorkloadDriver clients only exist on
   // the sim backend — over real SO_REUSEPORT their connections would be
   // cross-routed to sibling shards.
   const bool WireMode = Config.Backend != sim::KernelBackend::Sim;
-  if (WireMode && !sim::kernelBackendSupported(Config.Backend))
+  if (WireMode && !sim::kernelBackendAvailable(Config.Backend))
     return R;
   sim::ClusterKernel Kernel(N);
 
@@ -308,7 +307,8 @@ ClusterResult ClusterHarness::run() {
     // Load done (or never started): stop every shard loop. requestStop is
     // sticky, so a shard that has not reached its first wait still stops.
     for (uint32_t S = 0; S != N; ++S)
-      if (sim::RealKernel *RK = States[S].RK.load(std::memory_order_acquire))
+      if (sim::EpollKernel *RK =
+              States[S].RK.load(std::memory_order_acquire))
         RK->requestStop();
   }
 #endif

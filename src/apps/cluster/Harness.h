@@ -55,13 +55,13 @@ struct ClusterConfig {
   uint32_t Loops = 1;
   /// Kernel backend for every shard loop. Sim (default) is the virtual-time
   /// run: closed-loop WorkloadDriver clients inside each loop, deterministic
-  /// results. Epoll or Uring turns the cluster into a real SO_REUSEPORT
-  /// server group: every shard binds Port, the Linux kernel balances
-  /// accepts, and the built-in wire load generator (TotalClients keep-alive
-  /// connections, TotalRequests requests) drives them from a separate
-  /// thread — in-loop drivers would have their connections cross-routed to
-  /// sibling shards. Shutdown is each shard's RealKernel::requestStop once
-  /// the load completes; results are wall-clock, not deterministic.
+  /// results. Epoll turns the cluster into a real SO_REUSEPORT server
+  /// group: every shard binds Port, the Linux kernel balances accepts, and
+  /// the built-in wire load generator (TotalClients keep-alive connections,
+  /// TotalRequests requests) drives them from a separate thread — in-loop
+  /// drivers would have their connections cross-routed to sibling shards.
+  /// Shutdown is each shard's EpollKernel::requestStop once the load
+  /// completes; results are wall-clock, not deterministic.
   sim::KernelBackend Backend = sim::KernelBackend::Sim;
   /// TCP port every shard binds (real backends; also the simulated port).
   int Port = 9080;

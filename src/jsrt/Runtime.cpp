@@ -11,8 +11,6 @@
 #ifdef __linux__
 #include "sim/EpollKernel.h"
 #include "sim/EpollNetwork.h"
-#include "sim/UringKernel.h"
-#include "sim/UringNetwork.h"
 #endif
 
 #include <algorithm>
@@ -41,25 +39,6 @@ Runtime::Runtime(RuntimeConfig Config) : Config(Config) {
     // embedder reaching here on a non-Linux build is a programming error.
     std::fprintf(stderr,
                  "jsrt: epoll kernel backend requested on a non-Linux "
-                 "build (check sim::kernelBackendAvailable first)\n");
-    std::abort();
-#endif
-  } else if (Config.Backend == sim::KernelBackend::Uring) {
-#ifdef __linux__
-    auto UK = std::make_unique<sim::UringKernel>(TheClock);
-    if (!UK->valid()) {
-      std::string Why;
-      sim::kernelBackendAvailable(sim::KernelBackend::Uring, &Why);
-      std::fprintf(stderr, "jsrt: cannot create io_uring kernel (%s)\n",
-                   Why.c_str());
-      std::abort();
-    }
-    TheNetwork = std::make_unique<sim::UringNetwork>(
-        *UK, Config.NetLatencyUs, Config.Wire, Config.ListenBacklog);
-    TheKernel = std::move(UK);
-#else
-    std::fprintf(stderr,
-                 "jsrt: io_uring kernel backend requested on a non-Linux "
                  "build (check sim::kernelBackendAvailable first)\n");
     std::abort();
 #endif

@@ -89,7 +89,7 @@ struct RuntimeConfig {
 
   /// Which kernel implementation the loop pumps. Sim (default) is the
   /// deterministic virtual-time kernel; Epoll serves real sockets in
-  /// wall-clock time (Linux only — check sim::kernelBackendSupported
+  /// wall-clock time (Linux only — check sim::kernelBackendAvailable
   /// before constructing a runtime with it).
   sim::KernelBackend Backend = sim::KernelBackend::Sim;
 

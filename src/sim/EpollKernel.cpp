@@ -9,6 +9,7 @@
 #include "sim/EpollKernel.h"
 
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
 
@@ -18,10 +19,12 @@
 using namespace asyncg;
 using namespace asyncg::sim;
 
-EpollKernel::EpollKernel(Clock &C) : RealKernel(C) {
+EpollKernel::EpollKernel(Clock &C)
+    : Kernel(C), Origin(std::chrono::steady_clock::now()) {
+  EvFd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   EpFd = epoll_create1(EPOLL_CLOEXEC);
   TimerFd = timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
-  Stats.Syscalls += 2;
+  Stats.Syscalls += 3;
   if (!valid())
     return;
   epoll_event Ev{};
@@ -38,6 +41,68 @@ EpollKernel::~EpollKernel() {
     ::close(TimerFd);
   if (EpFd >= 0)
     ::close(EpFd);
+  if (EvFd >= 0)
+    ::close(EvFd);
+}
+
+void EpollKernel::syncClock() {
+  auto El = std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - Origin)
+                .count();
+  clock().advanceTo(static_cast<SimTime>(El));
+}
+
+void EpollKernel::submitExternal(std::function<void()> Action) {
+  {
+    std::lock_guard<std::mutex> Lock(ExternalMu);
+    External.push_back(std::move(Action));
+    HasExternal.store(true, std::memory_order_release);
+  }
+  wakeup();
+}
+
+void EpollKernel::requestStop() {
+  StopRequested.store(true, std::memory_order_release);
+  wakeup();
+}
+
+void EpollKernel::wakeup() {
+  uint64_t One = 1;
+  ssize_t N;
+  // Retry EINTR: a lost wakeup write can strand an external submit until
+  // the next unrelated event. EAGAIN is fine — the counter is already
+  // nonzero, so a wakeup is pending.
+  do {
+    N = ::write(EvFd, &One, sizeof(One));
+  } while (N < 0 && errno == EINTR);
+  (void)N;
+  WakeupCalls.fetch_add(1, std::memory_order_relaxed);
+}
+
+void EpollKernel::drainExternalInto(std::vector<std::function<void()>> &Due) {
+  if (!hasExternalWork())
+    return;
+  std::vector<std::function<void()>> Ext;
+  {
+    std::lock_guard<std::mutex> Lock(ExternalMu);
+    Ext.swap(External);
+    HasExternal.store(false, std::memory_order_release);
+  }
+  for (auto &A : Ext)
+    Due.push_back(std::move(A));
+}
+
+bool EpollKernel::externalQueueEmpty() const {
+  std::lock_guard<std::mutex> Lock(ExternalMu);
+  return External.empty();
+}
+
+KernelStats EpollKernel::kernelStats() const {
+  KernelStats Out = Stats;
+  uint64_t Wakes = WakeupCalls.load(std::memory_order_relaxed);
+  Out.Wakeups = Wakes;
+  Out.Syscalls += Wakes; // each wakeup() is one eventfd write(2)
+  return Out;
 }
 
 bool EpollKernel::hasStagedWork() const {
@@ -217,6 +282,14 @@ bool EpollKernel::waitUntil(SimTime Next) {
   // Origin + Next is an absolute CLOCK_MONOTONIC point; steady_clock is
   // CLOCK_MONOTONIC on Linux, so timerfd gives microsecond-accurate
   // deadlines where epoll_wait's ms timeout would round.
+  //
+  // Lost-wakeup rule: a deadline that already fired must never be left
+  // unguarded by the re-arm. Here that cannot happen — a fired timerfd
+  // stays level-readable until drained, and the re-arm below is
+  // unconditional. A completion-based backend such as io_uring, whose
+  // timeout completion can sit unreaped in its queue, must reap completions
+  // before it decides whether to re-arm, or it can block with a due
+  // deadline stranded.
   armTimer(Next);
   pollOnce(-1);
   armTimer(NoDeadline);

@@ -175,7 +175,7 @@ private:
 };
 
 /// Decorator injecting faults behind the Kernel virtual surface. Wraps any
-/// backend (Sim, Epoll, Uring): submit() may delay completion deadlines
+/// backend (Sim, Epoll): submit() may delay completion deadlines
 /// (Jitter), waitUntil() may wake spuriously (modeling an
 /// EINTR-interrupted wait). Everything else forwards. The network layers
 /// keep their concrete reference to the wrapped kernel, so delivery

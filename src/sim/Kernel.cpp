@@ -6,29 +6,10 @@
 
 #include "sim/Kernel.h"
 
-#ifdef __linux__
-#include "sim/UringKernel.h"
-#endif
-
 #include <cassert>
 
 using namespace asyncg;
 using namespace asyncg::sim;
-
-bool asyncg::sim::kernelBackendSupported(KernelBackend B) {
-  switch (B) {
-  case KernelBackend::Sim:
-    return true;
-  case KernelBackend::Epoll:
-  case KernelBackend::Uring:
-#ifdef __linux__
-    return true;
-#else
-    return false;
-#endif
-  }
-  return false;
-}
 
 bool asyncg::sim::kernelBackendAvailable(KernelBackend B,
                                          std::string *Reason) {
@@ -47,44 +28,25 @@ bool asyncg::sim::kernelBackendAvailable(KernelBackend B,
       *Reason = "epoll: unavailable (the epoll reactor needs a Linux build)";
     return false;
 #endif
-  case KernelBackend::Uring: {
-#ifdef __linux__
-    UringCaps Caps = probeUringCaps();
-    if (Reason)
-      *Reason = Caps.Reason;
-    return Caps.Available;
-#else
-    if (Reason)
-      *Reason = "uring: unavailable (io_uring needs a Linux build)";
-    return false;
-#endif
-  }
   }
   return false;
 }
 
 KernelBackend asyncg::sim::resolveAutoKernelBackend(std::string *Reason) {
   std::string Why;
-  if (kernelBackendAvailable(KernelBackend::Uring, &Why)) {
-    if (Reason)
-      *Reason = "selected uring — " + Why;
-    return KernelBackend::Uring;
-  }
-  std::string Rejected = Why;
   if (kernelBackendAvailable(KernelBackend::Epoll, &Why)) {
     if (Reason)
-      *Reason = "selected epoll (fallback: " + Rejected + ")";
+      *Reason = "selected epoll — " + Why;
     return KernelBackend::Epoll;
   }
   if (Reason)
-    *Reason = "selected sim (fallback: " + Rejected + "; " + Why + ")";
+    *Reason = "selected sim (fallback: " + Why + ")";
   return KernelBackend::Sim;
 }
 
 std::string asyncg::sim::availableKernelBackendNames() {
   std::string Out;
-  for (KernelBackend B :
-       {KernelBackend::Sim, KernelBackend::Epoll, KernelBackend::Uring})
+  for (KernelBackend B : {KernelBackend::Sim, KernelBackend::Epoll})
     if (kernelBackendAvailable(B)) {
       if (!Out.empty())
         Out += ", ";
@@ -99,8 +61,6 @@ const char *asyncg::sim::kernelBackendName(KernelBackend B) {
     return "sim";
   case KernelBackend::Epoll:
     return "epoll";
-  case KernelBackend::Uring:
-    return "uring";
   }
   return "?";
 }
@@ -113,10 +73,6 @@ bool asyncg::sim::parseKernelBackend(const std::string &Name,
   }
   if (Name == "epoll") {
     Out = KernelBackend::Epoll;
-    return true;
-  }
-  if (Name == "uring") {
-    Out = KernelBackend::Uring;
     return true;
   }
   return false;

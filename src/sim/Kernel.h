@@ -43,81 +43,48 @@ enum class KernelBackend {
   /// Real non-blocking sockets behind Linux epoll + timerfd/eventfd, in
   /// wall-clock time. Only available on Linux builds.
   Epoll,
-  /// Completion-based I/O over a raw io_uring (no liburing dependency):
-  /// batched SQE submission, multishot accept, timeout SQEs instead of a
-  /// timerfd. Needs a Linux build *and* a kernel that permits io_uring —
-  /// check kernelBackendAvailable() before constructing a runtime with it.
-  Uring,
 };
 
-/// The kernel-syscall cost model: every syscall a real kernel backend (and
-/// its network layer) issues on the serving path, broken down so the
-/// io_uring batching win is measurable. The simulated kernel reports all
-/// zeros — it never enters the OS.
+/// The kernel-syscall cost model: every syscall the epoll backend (and its
+/// network layer) issues on the serving path. The simulated kernel reports
+/// all zeros — it never enters the OS.
 ///
 /// The headline metric benches derive from this block is syscalls/request:
-/// epoll pays one-plus syscalls per socket op (recv, send, accept4,
-/// epoll_ctl churn, timerfd re-arms, epoll_wait sweeps), while io_uring
-/// stages SQEs in user memory and flushes them in one io_uring_enter per
-/// loop turn — completions are reaped straight from the mmap'd CQ ring at
-/// zero syscall cost.
+/// one-plus syscalls per socket op (recv, send, accept4, epoll_ctl churn,
+/// timerfd re-arms, epoll_wait sweeps).
 struct KernelStats {
   /// Total syscalls issued by the kernel + network backend.
   uint64_t Syscalls = 0;
-  /// Blocking-capable waits: epoll_wait calls / io_uring_enter calls.
+  /// Blocking-capable waits: epoll_wait calls.
   uint64_t Enters = 0;
-  /// io_uring only: SQEs pushed through enters.
-  uint64_t SqesSubmitted = 0;
-  /// io_uring only: enters that carried at least one SQE.
-  uint64_t SubmitBatches = 0;
-  /// io_uring only: largest single-flush SQE batch.
-  uint64_t MaxSqeBatch = 0;
-  /// Completion events handled: CQEs reaped (uring) / ready fd events
-  /// (epoll).
+  /// Completion events handled: ready fd events.
   uint64_t Completions = 0;
-  /// io_uring only: non-blocking sweeps served purely from the CQ ring
-  /// without any syscall.
-  uint64_t ZeroSyscallReaps = 0;
   /// Cross-thread eventfd wakes issued (submitExternal/wakeup/requestStop).
   uint64_t Wakeups = 0;
 
   void merge(const KernelStats &O) {
     Syscalls += O.Syscalls;
     Enters += O.Enters;
-    SqesSubmitted += O.SqesSubmitted;
-    SubmitBatches += O.SubmitBatches;
-    MaxSqeBatch = MaxSqeBatch > O.MaxSqeBatch ? MaxSqeBatch : O.MaxSqeBatch;
     Completions += O.Completions;
-    ZeroSyscallReaps += O.ZeroSyscallReaps;
     Wakeups += O.Wakeups;
   }
 };
 
-/// True when \p B can be constructed on this build (Sim always; Epoll and
-/// Uring only on Linux). Build-time capability only — a Linux build on a
-/// kernel that forbids io_uring still "supports" Uring but is not
-/// *available*; see kernelBackendAvailable.
-bool kernelBackendSupported(KernelBackend B);
-
-/// Runtime capability probe: true when a runtime constructed with \p B on
-/// this host will actually work. Sim is always available; Epoll needs a
-/// Linux build; Uring additionally probes the running kernel
-/// (io_uring_setup may be disabled by seccomp/sysctl in containers, and
-/// old kernels lack the required ops). When \p Reason is non-null it
-/// receives a one-line human-readable explanation either way.
+/// True when a runtime constructed with \p B on this host will work: Sim
+/// always, Epoll on Linux builds. When \p Reason is non-null it receives a
+/// one-line human-readable explanation either way.
 bool kernelBackendAvailable(KernelBackend B, std::string *Reason = nullptr);
 
-/// Resolves `--kernel auto`: the fastest available backend, probing
-/// uring -> epoll -> sim. \p Reason (if non-null) receives the visible
-/// reason string CLIs print: what was chosen and why the stronger
-/// candidates were rejected.
+/// Resolves `--kernel auto`: epoll where available, else sim. \p Reason (if
+/// non-null) receives the visible reason string CLIs print: what was chosen
+/// and why epoll was rejected.
 KernelBackend resolveAutoKernelBackend(std::string *Reason = nullptr);
 
-/// Comma-separated names of the backends available on this host (runtime
-/// probe, not build support) — for error messages that enumerate choices.
+/// Comma-separated names of the backends available on this host — for
+/// error messages that enumerate choices.
 std::string availableKernelBackendNames();
 
-/// Stable lowercase name ("sim", "epoll", "uring") for flags and reports.
+/// Stable lowercase name ("sim", "epoll") for flags and reports.
 const char *kernelBackendName(KernelBackend B);
 
 /// Parses a --kernel flag value. Returns false on unknown names ("auto" is

@@ -1,22 +1,18 @@
-//===- EpollKernelTest.cpp - real-traffic backend matrix tests (Linux) -------===//
+//===- EpollKernelTest.cpp - real-traffic epoll backend tests (Linux) --------===//
 //
 // Part of AsyncG-C++. MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Backend-matrix tests for the real-traffic kernel/network backends: every
-/// wire test runs parameterized over {epoll, io_uring}, skipping (loudly,
-/// with the probe's reason) any backend the host cannot provide. Covered
-/// per backend: kernel-level timing and the cancellation contract, the
-/// kernel-syscall cost model, wire edge paths (EAGAIN partial writes, peer
-/// reset, backlog overflow, cancellation on teardown), and — the
-/// acceptance gate — AcmeAir served over real loopback TCP with the
-/// warning set and DOT output matching the simulated kernel on the same
-/// scripted workload (which also pins epoll/uring parity by transitivity).
+/// Tests for the real-traffic epoll kernel/network backend: kernel-level
+/// timing and the cancellation contract, the kernel-syscall cost model,
+/// wire edge paths (EAGAIN partial writes, peer reset, backlog overflow,
+/// cancellation on teardown), and — the acceptance gate — AcmeAir served
+/// over real loopback TCP with the warning set and DOT output matching the
+/// simulated kernel on the same scripted workload.
 ///
-/// Each test that binds a port uses its own port number, offset by the
-/// backend under test: ctest may run this binary's tests in parallel
-/// processes.
+/// Each test that binds a port uses its own port number: ctest may run
+/// this binary's tests in parallel processes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +26,6 @@
 #include "jsrt/Runtime.h"
 #include "sim/EpollKernel.h"
 #include "sim/EpollNetwork.h"
-#include "sim/UringKernel.h"
-#include "sim/UringNetwork.h"
 #include "viz/Dot.h"
 
 #include <gtest/gtest.h>
@@ -54,34 +48,23 @@ struct StopWhen : instr::AnalysisBase {
     if (RK && Pred && Pred())
       RK->requestStop();
   }
-  sim::RealKernel *RK = nullptr;
+  sim::EpollKernel *RK = nullptr;
   std::function<bool()> Pred;
 };
 
-/// Returns the runtime's kernel as a RealKernel (test-only downcast; the
-/// caller created the runtime with a real backend).
-sim::RealKernel &realKernel(Runtime &RT) {
-  return static_cast<sim::RealKernel &>(RT.kernel());
+/// Returns the runtime's kernel as an EpollKernel (test-only downcast; the
+/// caller created the runtime with the epoll backend).
+sim::EpollKernel &epollKernel(Runtime &RT) {
+  return static_cast<sim::EpollKernel &>(RT.kernel());
 }
 
-/// Constructs a standalone kernel of the given real backend, or null when
-/// construction failed (callers assert).
-std::unique_ptr<sim::RealKernel> makeKernel(sim::KernelBackend B,
-                                            sim::Clock &C) {
-  std::unique_ptr<sim::RealKernel> K;
-  if (B == sim::KernelBackend::Uring)
-    K = std::make_unique<sim::UringKernel>(C);
-  else
-    K = std::make_unique<sim::EpollKernel>(C);
+/// Constructs a standalone epoll kernel, or null when construction failed
+/// (callers assert).
+std::unique_ptr<sim::EpollKernel> makeKernel(sim::Clock &C) {
+  auto K = std::make_unique<sim::EpollKernel>(C);
   if (!K->valid())
     return nullptr;
   return K;
-}
-
-uint64_t acceptedCount(Runtime &RT, sim::KernelBackend B) {
-  if (B == sim::KernelBackend::Uring)
-    return static_cast<sim::UringNetwork &>(RT.network()).acceptedCount();
-  return static_cast<sim::EpollNetwork &>(RT.network()).acceptedCount();
 }
 
 std::vector<std::string> formatWarnings(const ag::AsyncGraph &G) {
@@ -99,69 +82,35 @@ std::vector<std::string> formatWarnings(const ag::AsyncGraph &G) {
   return Out;
 }
 
-/// The backend matrix. Every TEST_P below runs once per real backend;
-/// backends the host cannot provide skip with the capability probe's
-/// reason (so CI on hosts without io_uring stays green and says why).
-class BackendMatrix : public ::testing::TestWithParam<sim::KernelBackend> {
-protected:
-  void SetUp() override {
-    std::string Why;
-    if (!sim::kernelBackendAvailable(GetParam(), &Why))
-      GTEST_SKIP() << "backend '" << sim::kernelBackendName(GetParam())
-                   << "' unavailable on this host: " << Why;
-  }
-
-  /// A test-unique port, offset by the backend so the epoll and uring
-  /// instantiations never collide when ctest shards run concurrently.
-  int portFor(int Base) const { return Base + static_cast<int>(GetParam()); }
-};
-
-std::string backendParamName(
-    const ::testing::TestParamInfo<sim::KernelBackend> &Info) {
-  return sim::kernelBackendName(Info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, BackendMatrix,
-                         ::testing::Values(sim::KernelBackend::Epoll,
-                                           sim::KernelBackend::Uring),
-                         backendParamName);
-
 //===----------------------------------------------------------------------===//
 // Kernel level
 //===----------------------------------------------------------------------===//
 
-TEST(RealKernel, BackendNamesParseAndProbe) {
-  EXPECT_TRUE(sim::kernelBackendSupported(sim::KernelBackend::Epoll));
-  EXPECT_TRUE(sim::kernelBackendSupported(sim::KernelBackend::Uring));
+TEST(EpollKernel, BackendNamesParseAndProbe) {
   sim::KernelBackend B;
   EXPECT_TRUE(sim::parseKernelBackend("epoll", B));
   EXPECT_EQ(B, sim::KernelBackend::Epoll);
-  EXPECT_TRUE(sim::parseKernelBackend("uring", B));
-  EXPECT_EQ(B, sim::KernelBackend::Uring);
   EXPECT_TRUE(sim::parseKernelBackend("sim", B));
   EXPECT_EQ(B, sim::KernelBackend::Sim);
+  EXPECT_FALSE(sim::parseKernelBackend("uring", B));
   EXPECT_FALSE(sim::parseKernelBackend("kqueue", B));
 
-  // The probe always explains itself, and auto always resolves to an
-  // available backend (sim at worst).
+  // The probe always explains itself, and on Linux auto resolves to epoll.
   std::string Why;
-  sim::kernelBackendAvailable(sim::KernelBackend::Uring, &Why);
+  EXPECT_TRUE(sim::kernelBackendAvailable(sim::KernelBackend::Epoll, &Why));
   EXPECT_FALSE(Why.empty());
   Why.clear();
-  sim::KernelBackend Auto = sim::resolveAutoKernelBackend(&Why);
+  EXPECT_EQ(sim::resolveAutoKernelBackend(&Why), sim::KernelBackend::Epoll);
   EXPECT_FALSE(Why.empty());
-  EXPECT_TRUE(sim::kernelBackendAvailable(Auto, nullptr));
-  // The available-backend list the CLI error paths print always holds sim.
-  EXPECT_NE(sim::availableKernelBackendNames().find("sim"),
-            std::string::npos);
+  EXPECT_EQ(sim::availableKernelBackendNames(), "sim, epoll");
 }
 
-TEST_P(BackendMatrix, TimersFireInWallClockTime) {
+TEST(EpollKernel, TimersFireInWallClockTime) {
   sim::Clock C;
-  auto K = makeKernel(GetParam(), C);
+  auto K = makeKernel(C);
   ASSERT_TRUE(K);
   // Deadlines are relative to the shared clock; sync it past the kernel's
-  // construction cost (ring setup is ~1 ms on uring) before measuring.
+  // construction cost before measuring.
   K->syncClock();
   std::vector<int> Order;
   K->submit(5000, [&] { Order.push_back(2); }); // 5 ms
@@ -180,12 +129,12 @@ TEST_P(BackendMatrix, TimersFireInWallClockTime) {
   EXPECT_FALSE(K->hasPending());
 }
 
-// The cancellation contract (sim/Kernel.h) holds identically on every real
+// The cancellation contract (sim/Kernel.h) holds identically on the real
 // kernel: an op the kernel still holds — even one already due — cancels
 // with a guarantee it never runs; one handed out by takeDue() does not.
-TEST_P(BackendMatrix, CancelContractMatchesSimKernel) {
+TEST(EpollKernel, CancelContractMatchesSimKernel) {
   sim::Clock C;
-  auto K = makeKernel(GetParam(), C);
+  auto K = makeKernel(C);
   ASSERT_TRUE(K);
   int Ran = 0;
 
@@ -207,13 +156,13 @@ TEST_P(BackendMatrix, CancelContractMatchesSimKernel) {
   EXPECT_EQ(Ran, 1);
 }
 
-TEST_P(BackendMatrix, ExternalSubmitWakesBlockedWait) {
+TEST(EpollKernel, ExternalSubmitWakesBlockedWait) {
   sim::Clock C;
-  auto K = makeKernel(GetParam(), C);
+  auto K = makeKernel(C);
   ASSERT_TRUE(K);
   bool Ran = false;
   K->submit(3'000'000, [] {}); // far deadline the wait should not reach
-  sim::RealKernel *Raw = K.get();
+  sim::EpollKernel *Raw = K.get();
   std::thread Poster([Raw] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     Raw->submitExternal([] {});
@@ -232,12 +181,11 @@ TEST_P(BackendMatrix, ExternalSubmitWakesBlockedWait) {
   EXPECT_LT(ElapsedMs, 2000); // woke for the external op, not the timer
 }
 
-// The kernel-syscall cost model: both backends count their OS entries, and
-// the uring backend's defining property — batched SQE submission — shows
-// up as submitted SQEs where epoll reports none.
-TEST_P(BackendMatrix, KernelStatsModelTheBackend) {
+// The kernel-syscall cost model: the kernel counts every syscall it issues
+// and every blocking wait.
+TEST(EpollKernel, KernelStatsModelTheBackend) {
   sim::Clock C;
-  auto K = makeKernel(GetParam(), C);
+  auto K = makeKernel(C);
   ASSERT_TRUE(K);
   int Ran = 0;
   K->submit(1000, [&] { ++Ran; });
@@ -249,15 +197,6 @@ TEST_P(BackendMatrix, KernelStatsModelTheBackend) {
   sim::KernelStats S = K->kernelStats();
   EXPECT_GT(S.Syscalls, 0u);
   EXPECT_GT(S.Enters, 0u);
-  if (GetParam() == sim::KernelBackend::Uring) {
-    EXPECT_GT(S.SqesSubmitted, 0u);
-    EXPECT_GT(S.SubmitBatches, 0u);
-    EXPECT_GE(S.MaxSqeBatch, 1u);
-    EXPECT_GT(S.Completions, 0u);
-  } else {
-    EXPECT_EQ(S.SqesSubmitted, 0u); // epoll has no submission queue
-    EXPECT_EQ(S.SubmitBatches, 0u);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -266,9 +205,9 @@ TEST_P(BackendMatrix, KernelStatsModelTheBackend) {
 
 /// Runs \p Script under a runtime on \p Backend with the full detector
 /// suite attached; returns the sorted warning strings. Used to assert the
-/// edge paths leave the graph in the same state on every backend. The
-/// script receives the runtime and, on real backends, the kernel (null on
-/// sim) so it can request a stop once its work is done.
+/// edge paths leave the graph in the same state on both backends. The
+/// script receives the runtime and, on epoll, the kernel (null on sim) so
+/// it can request a stop once its work is done.
 template <typename ScriptFn>
 std::vector<std::string> runScripted(sim::KernelBackend Backend,
                                      ScriptFn Script) {
@@ -276,8 +215,8 @@ std::vector<std::string> runScripted(sim::KernelBackend Backend,
   RC.Backend = Backend;
   RC.Wire = sim::WireFormat::Framed;
   Runtime RT(RC);
-  sim::RealKernel *RK =
-      Backend != sim::KernelBackend::Sim ? &realKernel(RT) : nullptr;
+  sim::EpollKernel *RK =
+      Backend != sim::KernelBackend::Sim ? &epollKernel(RT) : nullptr;
   ag::AsyncGBuilder Builder;
   detect::DetectorSuite Detectors;
   Detectors.attachTo(Builder);
@@ -293,17 +232,17 @@ std::vector<std::string> runScripted(sim::KernelBackend Backend,
 
 // A 16 MiB message does not fit the loopback socket buffers: the server's
 // send hits EAGAIN/partial completions repeatedly and finishes over
-// multiple readiness (epoll) or re-staged-send (uring) rounds. The message
-// must still arrive as one intact delivery (sim semantics).
-TEST_P(BackendMatrix, PartialWritesReassembleLargeMessage) {
-  const int Port = portFor(9420);
+// multiple readiness rounds. The message must still arrive as one intact
+// delivery (sim semantics).
+TEST(EpollWire, PartialWritesReassembleLargeMessage) {
+  const int Port = 9420;
   const std::string Big(16u << 20, 'x');
   std::string Received;
   std::vector<std::shared_ptr<sim::Socket>> Held;
 
   // Same script for both backends; RK is null on sim, where the loop
   // drains naturally once the kernel has no pending ops.
-  auto Script = [&](Runtime &R, sim::RealKernel *RK) {
+  auto Script = [&](Runtime &R, sim::EpollKernel *RK) {
     R.network().listen(Port, [&](std::shared_ptr<sim::Socket> S) {
       Held.push_back(S);
       S->write(Big);
@@ -320,7 +259,8 @@ TEST_P(BackendMatrix, PartialWritesReassembleLargeMessage) {
     EXPECT_TRUE(Ok);
   };
 
-  std::vector<std::string> WireWarnings = runScripted(GetParam(), Script);
+  std::vector<std::string> WireWarnings =
+      runScripted(sim::KernelBackend::Epoll, Script);
   ASSERT_EQ(Received.size(), Big.size());
   EXPECT_TRUE(Received == Big);
 
@@ -335,12 +275,12 @@ TEST_P(BackendMatrix, PartialWritesReassembleLargeMessage) {
 // Peer resets (destroy) while the server still owes it data: the server
 // side must observe a close event — the sim analogue of destroy — and the
 // loop must drain without leaking the graph or erroring.
-TEST_P(BackendMatrix, PeerResetDeliversCloseEvent) {
-  const int Port = portFor(9430);
+TEST(EpollWire, PeerResetDeliversCloseEvent) {
+  const int Port = 9430;
   bool ServerClosed = false;
   std::vector<std::shared_ptr<sim::Socket>> Held;
 
-  auto Script = [&](Runtime &R, sim::RealKernel *RK) {
+  auto Script = [&](Runtime &R, sim::EpollKernel *RK) {
     R.network().listen(Port, [&, RK](std::shared_ptr<sim::Socket> S) {
       Held.push_back(S);
       sim::Socket *Raw = S.get();
@@ -360,7 +300,8 @@ TEST_P(BackendMatrix, PeerResetDeliversCloseEvent) {
     EXPECT_TRUE(Ok);
   };
 
-  std::vector<std::string> WireWarnings = runScripted(GetParam(), Script);
+  std::vector<std::string> WireWarnings =
+      runScripted(sim::KernelBackend::Epoll, Script);
   EXPECT_TRUE(ServerClosed);
 
   ServerClosed = false;
@@ -372,14 +313,13 @@ TEST_P(BackendMatrix, PeerResetDeliversCloseEvent) {
 }
 
 // Teardown with reads/accepts still in flight: destroy() must cancel the
-// staged kernel ops (epoll: unwatch; uring: ASYNC_CANCEL per the buffer
-// ownership rules in DESIGN.md §5h) so the loop drains instead of waiting
+// staged kernel ops (unwatch the fd) so the loop drains instead of waiting
 // on a connection nobody will ever write to.
-TEST_P(BackendMatrix, DestroyCancelsInFlightOps) {
-  const int Port = portFor(9440);
+TEST(EpollWire, DestroyCancelsInFlightOps) {
+  const int Port = 9440;
   bool ClientGotData = false;
 
-  auto Script = [&](Runtime &R, sim::RealKernel *RK) {
+  auto Script = [&](Runtime &R, sim::EpollKernel *RK) {
     R.network().listen(Port, [&](std::shared_ptr<sim::Socket> S) {
       // Server never writes; the client's pending recv can only be
       // retired by cancellation.
@@ -394,21 +334,20 @@ TEST_P(BackendMatrix, DestroyCancelsInFlightOps) {
     EXPECT_TRUE(Ok);
   };
 
-  runScripted(GetParam(), Script);
+  runScripted(sim::KernelBackend::Epoll, Script);
   EXPECT_FALSE(ClientGotData);
 }
 
 // More simultaneous connects than the listen backlog: the kernel drops the
 // excess SYNs, the clients retransmit, and every connection is eventually
-// accepted and served — no drops surface at the application layer. (On
-// uring the accepts arrive through the multishot accept SQE.)
-TEST_P(BackendMatrix, BacklogOverflowEventuallyServesAll) {
-  const int Port = portFor(9450);
+// accepted and served — no drops surface at the application layer.
+TEST(EpollWire, BacklogOverflowEventuallyServesAll) {
+  const int Port = 9450;
   const int NConns = 8;
   int Echoed = 0;
 
   RuntimeConfig RC;
-  RC.Backend = GetParam();
+  RC.Backend = sim::KernelBackend::Epoll;
   RC.Wire = sim::WireFormat::Framed;
   Runtime RT(RC);
 
@@ -431,7 +370,7 @@ TEST_P(BackendMatrix, BacklogOverflowEventuallyServesAll) {
             Raw->onData([&, I](const std::string &M) {
               EXPECT_EQ(M, "echo:ping" + std::to_string(I));
               if (++Echoed == NConns)
-                realKernel(RT).requestStop();
+                epollKernel(RT).requestStop();
             });
             Raw->write("ping" + std::to_string(I));
           });
@@ -442,7 +381,8 @@ TEST_P(BackendMatrix, BacklogOverflowEventuallyServesAll) {
   RT.main(Main);
 
   EXPECT_EQ(Echoed, NConns);
-  EXPECT_EQ(acceptedCount(RT, GetParam()), static_cast<uint64_t>(NConns));
+  EXPECT_EQ(static_cast<sim::EpollNetwork &>(RT.network()).acceptedCount(),
+            static_cast<uint64_t>(NConns));
   EXPECT_TRUE(RT.uncaughtErrors().empty());
 }
 
@@ -480,7 +420,7 @@ AcmeRun runAcmeAir(sim::KernelBackend Backend, int Port, uint64_t Requests) {
 
   StopWhen Stop;
   if (Backend != sim::KernelBackend::Sim) {
-    Stop.RK = &realKernel(RT);
+    Stop.RK = &epollKernel(RT);
     Stop.Pred = [&Driver, Requests] {
       return Driver.completed() >= Requests;
     };
@@ -505,10 +445,10 @@ AcmeRun runAcmeAir(sim::KernelBackend Backend, int Port, uint64_t Requests) {
   return Out;
 }
 
-TEST_P(BackendMatrix, AcmeAirServesWireHttpWithSimParity) {
+TEST(EpollWire, AcmeAirServesWireHttpWithSimParity) {
   const uint64_t Requests = 40;
-  const int Port = portFor(9460);
-  AcmeRun Wire = runAcmeAir(GetParam(), Port, Requests);
+  const int Port = 9460;
+  AcmeRun Wire = runAcmeAir(sim::KernelBackend::Epoll, Port, Requests);
   AcmeRun Sim = runAcmeAir(sim::KernelBackend::Sim, Port, Requests);
 
   EXPECT_EQ(Wire.Completed, Requests);
@@ -517,8 +457,7 @@ TEST_P(BackendMatrix, AcmeAirServesWireHttpWithSimParity) {
   EXPECT_EQ(Sim.Completed, Requests);
 
   // The acceptance gate: same warnings, same graph (DOT carries no
-  // timestamps, so equality is already "modulo timestamps"). Both real
-  // backends matching sim also pins epoll-vs-uring DOT parity.
+  // timestamps, so equality is already "modulo timestamps").
   EXPECT_EQ(Wire.Warnings, Sim.Warnings);
   EXPECT_EQ(Wire.Dot, Sim.Dot);
 }
@@ -527,10 +466,10 @@ TEST_P(BackendMatrix, AcmeAirServesWireHttpWithSimParity) {
 // SO_REUSEPORT cluster mode
 //===----------------------------------------------------------------------===//
 
-TEST_P(BackendMatrix, ReuseportServesAcrossLoops) {
+TEST(EpollWire, ReuseportServesAcrossLoops) {
   cluster::ClusterConfig Cfg;
-  Cfg.Backend = GetParam();
-  Cfg.Port = portFor(9470);
+  Cfg.Backend = sim::KernelBackend::Epoll;
+  Cfg.Port = 9470;
   Cfg.Loops = 2;
   Cfg.TotalClients = 4;
   Cfg.TotalRequests = 60;
@@ -559,9 +498,6 @@ TEST_P(BackendMatrix, ReuseportServesAcrossLoops) {
   // The syscall cost model flowed through the shard aggregation.
   EXPECT_GT(R.Sys.Syscalls, 0u);
   EXPECT_GT(R.Sys.Enters, 0u);
-  if (GetParam() == sim::KernelBackend::Uring) {
-    EXPECT_GT(R.Sys.SqesSubmitted, 0u);
-  }
 }
 
 } // namespace
@@ -572,15 +508,13 @@ TEST_P(BackendMatrix, ReuseportServesAcrossLoops) {
 
 #include <gtest/gtest.h>
 
-TEST(RealKernel, UnsupportedOnThisPlatform) {
+TEST(EpollKernel, UnsupportedOnThisPlatform) {
   using asyncg::sim::KernelBackend;
-  EXPECT_FALSE(asyncg::sim::kernelBackendSupported(KernelBackend::Epoll));
-  EXPECT_FALSE(asyncg::sim::kernelBackendSupported(KernelBackend::Uring));
   // The probe's reason strings and the available-backend list (which the
   // CLI error paths print) must still work here: only sim is on offer.
   std::string Why;
   EXPECT_FALSE(
-      asyncg::sim::kernelBackendAvailable(KernelBackend::Uring, &Why));
+      asyncg::sim::kernelBackendAvailable(KernelBackend::Epoll, &Why));
   EXPECT_FALSE(Why.empty());
   EXPECT_EQ(asyncg::sim::availableKernelBackendNames(), "sim");
   EXPECT_EQ(asyncg::sim::resolveAutoKernelBackend(nullptr),

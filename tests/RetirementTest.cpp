@@ -141,7 +141,10 @@ TEST(RetirementParity, TightWindowKeepsDetectorWarnings) {
 //===----------------------------------------------------------------------===//
 
 TEST(RetirementAcmeAir, ParityAndFootprintReduction) {
-  auto Run = [](bool Retire) {
+  // The retire-off run is also recorded, so the same event stream can be
+  // rebuilt post mortem below.
+  std::string Path = testutil::uniqueTempPath("acmeair");
+  auto Run = [&Path](bool Retire) {
     Runtime RT;
     acmeair::AppConfig ACfg;
     acmeair::AcmeAirApp App(RT, ACfg);
@@ -156,6 +159,11 @@ TEST(RetirementAcmeAir, ParityAndFootprintReduction) {
     detect::DetectorSuite Detectors;
     Detectors.attachTo(Builder);
     RT.hooks().attach(&Builder);
+    instr::TraceRecorder Rec;
+    if (!Retire) {
+      EXPECT_TRUE(Rec.open(Path));
+      RT.hooks().attach(&Rec);
+    }
 
     Function Main = RT.makeBuiltin("main", [&](Runtime &, const CallArgs &) {
       App.start(JSLOC);
@@ -164,6 +172,9 @@ TEST(RetirementAcmeAir, ParityAndFootprintReduction) {
     });
     RT.main(Main);
     EXPECT_EQ(Driver.completed(), WCfg.TotalRequests);
+    if (!Retire) {
+      EXPECT_TRUE(Rec.finalize());
+    }
     return std::make_tuple(warningKeys(Builder.graph()),
                            Builder.memoryFootprint(),
                            Builder.graph().retired().Ticks);
@@ -177,6 +188,26 @@ TEST(RetirementAcmeAir, ParityAndFootprintReduction) {
   // 300 keep-alive requests: the retained window must be a small fraction
   // of the full graph.
   EXPECT_LT(FootOn * 4, FootOff);
+
+  // The same holds when the trace is ingested: a retiring hub keeps the
+  // warnings and holds its window, not storage sized for the whole trace.
+  auto Ingest = [&Path](bool Retire) {
+    ag::IngestOptions Opts;
+    Opts.Builder.Retire = Retire;
+    ag::IngestHub Hub(Opts);
+    size_t S = Hub.addFile(Path);
+    detect::DetectorSuite Detectors;
+    Detectors.attachTo(Hub.builder(S));
+    std::string Err;
+    EXPECT_TRUE(Hub.run(&Err)) << Err;
+    return std::make_pair(warningKeys(Hub.graph()),
+                          Hub.builder(S).memoryFootprint());
+  };
+  auto [HubWOff, HubFootOff] = Ingest(false);
+  auto [HubWOn, HubFootOn] = Ingest(true);
+  EXPECT_EQ(HubWOff, HubWOn);
+  EXPECT_LT(HubFootOn * 4, HubFootOff);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

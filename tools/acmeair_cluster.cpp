@@ -9,17 +9,17 @@
 // results:
 //
 //   acmeair_cluster [--loops N] [--requests N] [--clients N] [--seed N]
-//                   [--kernel sim|epoll|uring|auto] [--port N] [--probe]
+//                   [--kernel sim|epoll|auto] [--port N] [--probe]
 //                   [--sync] [--no-gossip] [--baseline] [--dot FILE]
 //                   [--record-dir DIR] [--trace-version N] [--degrade]
 //                   [--fault-spec kind:rate,...|default] [--fault-seed N]
 //
-// --kernel epoll or uring (Linux only) swaps the virtual-time kernel for a
-// real reactor: every loop binds --port with SO_REUSEPORT, the built-in
-// wire load generator drives --clients keep-alive HTTP connections, and
-// the numbers reported are wall-clock (including the kernel-syscall cost
-// model — syscalls/request is where io_uring's batched submission shows).
-// --kernel auto probes uring -> epoll -> sim and prints why it chose.
+// --kernel epoll (Linux only) swaps the virtual-time kernel for a real
+// reactor: every loop binds --port with SO_REUSEPORT, the built-in wire
+// load generator drives --clients keep-alive HTTP connections, and the
+// numbers reported are wall-clock (including the kernel-syscall cost
+// model's syscalls/request). --kernel auto picks epoll, falling back to
+// sim, and prints why it chose.
 // --probe prints each backend's availability and exits.
 //
 // --record-dir writes one `.agtrace` per shard (shard<S>.agtrace) in the
@@ -108,8 +108,7 @@ int main(int argc, char **argv) {
       }
     } else if (!std::strcmp(argv[I], "--probe")) {
       for (sim::KernelBackend B :
-           {sim::KernelBackend::Sim, sim::KernelBackend::Epoll,
-            sim::KernelBackend::Uring}) {
+           {sim::KernelBackend::Sim, sim::KernelBackend::Epoll}) {
         std::string Why;
         sim::kernelBackendAvailable(B, &Why);
         std::printf("%s\n", Why.c_str());
@@ -158,7 +157,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr,
                    "usage: %s [--loops N] [--requests N] [--clients N]"
                    " [--seed N]\n"
-                   "          [--kernel sim|epoll|uring|auto] [--port N]"
+                   "          [--kernel sim|epoll|auto] [--port N]"
                    " [--probe]\n"
                    "          [--sync] [--no-gossip] [--baseline]"
                    " [--dot FILE]\n"
@@ -182,8 +181,8 @@ int main(int argc, char **argv) {
   }
   if (Cfg.ServeOnly && Cfg.Backend == sim::KernelBackend::Sim) {
     std::fprintf(stderr, "--serve needs a real backend (--kernel "
-                         "epoll|uring|auto); the sim backend has no wire "
-                         "to serve\n");
+                         "epoll|auto); the sim backend has no wire to "
+                         "serve\n");
     return 2;
   }
   if (Cfg.TraceVer < 2 || Cfg.TraceVer > trace::TraceVersion) {
@@ -297,15 +296,10 @@ int main(int argc, char **argv) {
     else
       std::snprintf(PerReq, sizeof(PerReq), "n/a per request");
     std::printf("kernel cost: %llu syscalls (%s), %llu enters, "
-                "%llu sqes in %llu batches (max %llu), %llu completions, "
-                "%llu zero-syscall reaps, %llu wakeups\n",
+                "%llu completions, %llu wakeups\n",
                 static_cast<unsigned long long>(R.Sys.Syscalls), PerReq,
                 static_cast<unsigned long long>(R.Sys.Enters),
-                static_cast<unsigned long long>(R.Sys.SqesSubmitted),
-                static_cast<unsigned long long>(R.Sys.SubmitBatches),
-                static_cast<unsigned long long>(R.Sys.MaxSqeBatch),
                 static_cast<unsigned long long>(R.Sys.Completions),
-                static_cast<unsigned long long>(R.Sys.ZeroSyscallReaps),
                 static_cast<unsigned long long>(R.Sys.Wakeups));
   } else {
     std::printf("\nvirtual throughput: %.0f req/s (slowest shard %.2f ms "

@@ -55,7 +55,7 @@ namespace {
 int usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s --list\n"
-               "       %s --case NAME [--kernel sim|epoll|uring|auto]"
+               "       %s --case NAME [--kernel sim|epoll|auto]"
                " [--fixed]"
                " [--nopromise] [--async]\n"
                "           [--retire]\n"

@@ -8,7 +8,11 @@
 # soak_steady_state config with --json, and validates that each emitted
 # BENCH_<name>.json matches the BenchReport schema (bench / config /
 # metrics[{name, value, unit}], including the automatic peak_rss metric).
-# Exits non-zero on any build, run, or schema failure.
+#
+# Every bench and every leg runs, even after an earlier one failed (a bench
+# exits 1 when one of its own gates fails). Failures are collected, listed
+# together at the end, and make the script exit 1. A configure or build
+# failure stops the script at once: nothing after it could run.
 #
 # With --check, additionally:
 #   - self-compares every emitted JSON with tools/bench_compare.py (a
@@ -17,11 +21,9 @@
 #     --baseline DIR is given, diffs each BENCH_<name>.json against the
 #     same-named file in DIR with a 15% threshold (wall-clock reports use
 #     bench_compare's own wall tolerance class);
-#   - runs the wire legs (Linux only, skipped with a notice elsewhere):
+#   - runs the wire leg (Linux only, skipped with a notice elsewhere):
 #     acmeair_cluster --serve across 2 SO_REUSEPORT loops on the epoll
-#     backend and again on the io_uring backend (skipped loudly when the
-#     runtime capability probe says the host kernel cannot do it), each
-#     under an agload burst, gating nonzero req/s and zero dropped
+#     backend under an agload burst, gating nonzero req/s and zero dropped
 #     connections, then a SIGTERM shutdown that must exit cleanly;
 #   - runs the fault leg (Linux only): the same 2-loop epoll server with
 #     the default deterministic fault mix injected (--fault-spec default),
@@ -69,6 +71,28 @@ done
 BUILD_DIR="${1:-$REPO_ROOT/build-bench-smoke}"
 OUT_DIR="$BUILD_DIR/bench-json"
 
+# Names of the benches and legs that failed, reported at the end.
+FAILED=()
+
+# Runs one bench or leg: "$2..." in a subshell under set -e, so its first
+# failing step ends that leg only. A failure is recorded under the name $1
+# and the script goes on to the next leg.
+leg() {
+  local name="$1"
+  shift
+  set +e
+  (
+    set -e
+    "$@"
+  )
+  local status=$?
+  set -e
+  if [ "$status" -ne 0 ]; then
+    echo "FAIL: $name (exit $status)"
+    FAILED+=("$name")
+  fi
+}
+
 echo "== configuring Release build in $BUILD_DIR"
 cmake -S "$REPO_ROOT" -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release >/dev/null
 
@@ -79,33 +103,44 @@ cmake --build "$BUILD_DIR" --target micro_ag micro_eventloop micro_ring \
 
 mkdir -p "$OUT_DIR"
 
+# Runs bench $1 with --json. Its output goes to a log; when the bench fails,
+# the log's gate lines are shown.
 run_bench() {
   local name="$1"
   shift
   local json="$OUT_DIR/BENCH_${name}.json"
+  local log="$OUT_DIR/${name}.log"
   echo "== running $name --json $json"
-  "$BUILD_DIR/bench/$name" --json "$json" "$@" >/dev/null
+  "$BUILD_DIR/bench/$name" --json "$json" "$@" >"$log" 2>&1 || {
+    local status=$?
+    grep -i -E 'fail|gate|floor|acceptance' "$log" | sed 's/^/   /'
+    echo "   (full output: $log)"
+    return "$status"
+  }
   [ -s "$json" ] || { echo "FAIL: $json missing or empty"; exit 1; }
 }
 
-run_bench micro_ag --benchmark_min_time=0.01
-run_bench micro_eventloop --benchmark_min_time=0.01
-run_bench micro_ring --benchmark_min_time=0.01
+leg "bench micro_ag" run_bench micro_ag --benchmark_min_time=0.01
+leg "bench micro_eventloop" run_bench micro_eventloop \
+  --benchmark_min_time=0.01
+leg "bench micro_ring" run_bench micro_ring --benchmark_min_time=0.01
 # Short soak: exercises the retire-on/off comparison end to end; the
 # 10%-footprint acceptance gates only arm at >= 10000 requests.
-run_bench soak_steady_state --requests 2000 --clients 8
+leg "bench soak_steady_state" run_bench soak_steady_state --requests 2000 \
+  --clients 8
 # Cluster scaling: 1/2/4 loops, virtual-throughput scaling and merge gates.
-run_bench cluster_scaling
+leg "bench cluster_scaling" run_bench cluster_scaling
 # Trace codec: v3 vs v4 size + ingest speed, DOT parity, and the exit-code
 # gates (>=4x size, derived slow-storage >=2x, cold floor >=1.2x).
-run_bench micro_codec
+leg "bench micro_codec" run_bench micro_codec
 # Parallel ingest: decode-stage jobs=4 gate (>=2x over jobs=1, armed on >=4
 # hardware threads), jobs sweep, streaming merge, and byte parity with the
 # live build at every job count.
-run_bench ingest_scaling
+leg "bench ingest_scaling" run_bench ingest_scaling
 
-echo "== validating schema"
-python3 - "$OUT_DIR"/BENCH_*.json <<'EOF'
+validate_schema() {
+  echo "== validating schema"
+  python3 - "$OUT_DIR"/BENCH_*.json <<'EOF'
 import json
 import sys
 
@@ -134,86 +169,75 @@ for path in sys.argv[1:]:
         failed = True
 sys.exit(1 if failed else 0)
 EOF
+}
+leg "schema validation" validate_schema
 
 if [ "$CHECK_MODE" = 1 ]; then
-  echo "== [check] bench_compare self-comparison sanity"
-  for json in "$OUT_DIR"/BENCH_*.json; do
-    python3 "$REPO_ROOT/tools/bench_compare.py" "$json" "$json" \
-      --threshold 0.01 >/dev/null \
-      || { echo "FAIL: $json does not compare clean against itself"; exit 1; }
-  done
-  if [ -n "$BASELINE_DIR" ]; then
-    echo "== [check] comparing against baseline dir $BASELINE_DIR"
+  compare_reports() {
+    echo "== [check] bench_compare self-comparison sanity"
     for json in "$OUT_DIR"/BENCH_*.json; do
-      base="$BASELINE_DIR/$(basename "$json")"
-      if [ -f "$base" ]; then
-        python3 "$REPO_ROOT/tools/bench_compare.py" "$base" "$json" \
-          --threshold 15
-      else
-        echo "   (no baseline for $(basename "$json"), skipping)"
-      fi
+      python3 "$REPO_ROOT/tools/bench_compare.py" "$json" "$json" \
+        --threshold 0.01 >/dev/null \
+        || { echo "FAIL: $json does not compare clean against itself"; exit 1; }
     done
-  fi
+    if [ -n "$BASELINE_DIR" ]; then
+      echo "== [check] comparing against baseline dir $BASELINE_DIR"
+      for json in "$OUT_DIR"/BENCH_*.json; do
+        base="$BASELINE_DIR/$(basename "$json")"
+        if [ -f "$base" ]; then
+          python3 "$REPO_ROOT/tools/bench_compare.py" "$base" "$json" \
+            --threshold 15
+        else
+          echo "   (no baseline for $(basename "$json"), skipping)"
+        fi
+      done
+    fi
+  }
+  leg "bench_compare" compare_reports
 
-  # One wire leg: --serve on $1 (kernel backend) at $2 (port), agload
-  # burst, gates, SIGTERM clean shutdown.
-  run_wire_leg() {
-    local kernel="$1" port="$2"
-    local json="$OUT_DIR/agload_burst_${kernel}.json"
-    "$BUILD_DIR/tools/acmeair_cluster" --kernel "$kernel" --loops 2 --serve \
-      --port "$port" >"$OUT_DIR/wire_server_${kernel}.log" 2>&1 &
+  # The wire leg: --serve on the epoll backend at port $1, agload burst,
+  # gates, SIGTERM clean shutdown.
+  wire_leg() {
+    local port="$1"
+    local json="$OUT_DIR/agload_burst_epoll.json"
+    echo "== [check] wire leg: AcmeAir on the epoll backend + agload burst"
+    "$BUILD_DIR/tools/acmeair_cluster" --kernel epoll --loops 2 --serve \
+      --port "$port" >"$OUT_DIR/wire_server_epoll.log" 2>&1 &
     local pid=$!
     if ! "$BUILD_DIR/tools/agload" --port "$port" --conns 8 \
         --requests 2000 --json "$json" >/dev/null; then
       kill -TERM "$pid" 2>/dev/null || true
-      echo "FAIL: agload burst against the $kernel server failed"
+      echo "FAIL: agload burst against the epoll server failed"
       exit 1
     fi
     kill -TERM "$pid"
     wait "$pid" \
-      || { echo "FAIL: $kernel server did not shut down cleanly on SIGTERM"; \
+      || { echo "FAIL: epoll server did not shut down cleanly on SIGTERM"; \
            exit 1; }
-    python3 - "$json" "$kernel" <<'EOF'
+    python3 - "$json" <<'EOF'
 import json
 import sys
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-leg = sys.argv[2]
-assert doc["req_per_sec"] > 0, f"{leg} wire leg served zero req/s"
+assert doc["req_per_sec"] > 0, "epoll wire leg served zero req/s"
 assert doc["dropped_conns"] == 0, \
-    f"{leg} wire leg dropped {doc['dropped_conns']} connection(s)"
+    f"epoll wire leg dropped {doc['dropped_conns']} connection(s)"
 assert doc["completed"] == 2000 and doc["errors"] == 0, \
-    f"{leg} wire leg: completed={doc['completed']} errors={doc['errors']}"
-print(f"ok   {leg} wire leg: {doc['req_per_sec']:.0f} req/s, "
+    f"epoll wire leg: completed={doc['completed']} errors={doc['errors']}"
+print(f"ok   epoll wire leg: {doc['req_per_sec']:.0f} req/s, "
       f"p99 {doc['p99_us']:.0f} us, 0 dropped")
 EOF
+    echo "== [check] epoll wire leg OK"
   }
 
-  if [ "$(uname -s)" = "Linux" ]; then
-    echo "== [check] wire leg: AcmeAir on the epoll backend + agload burst"
-    cmake --build "$BUILD_DIR" --target acmeair_cluster agload -j >/dev/null
-    run_wire_leg epoll 9560
-    echo "== [check] epoll wire leg OK"
-    # The uring leg needs more than "Linux": the runtime capability probe
-    # must clear the host kernel (op support, no seccomp veto). Skip loudly
-    # when it does not — CI on such hosts stays green and says why.
-    if "$BUILD_DIR/tools/acmeair_cluster" --probe | grep -q '^uring: available'; then
-      echo "== [check] wire leg: AcmeAir on the io_uring backend + agload burst"
-      run_wire_leg uring 9562
-      echo "== [check] uring wire leg OK"
-    else
-      echo "== [check] uring wire leg SKIPPED: the io_uring capability" \
-           "probe reports unavailable on this host:"
-      "$BUILD_DIR/tools/acmeair_cluster" --probe | sed 's/^/     /'
-    fi
-
-    # Fault leg: the epoll server again, now with the default deterministic
-    # fault mix injected (DESIGN.md §5i). agload drives it with per-request
-    # timeouts and a retry budget; its exit status gates that every request
-    # completed with zero errors and none abandoned. The SIGTERM shutdown
-    # must still drain cleanly — injected faults must degrade service, not
-    # the process.
+  # Fault leg: the epoll server again, now with the default deterministic
+  # fault mix injected (DESIGN.md §5i). agload drives it with per-request
+  # timeouts and a retry budget; its exit status gates that every request
+  # completed with zero errors and none abandoned. The SIGTERM shutdown
+  # must still drain cleanly — injected faults must degrade service, not
+  # the process.
+  fault_leg() {
     echo "== [check] fault leg: epoll server under --fault-spec default"
     fault_json="$OUT_DIR/agload_fault_epoll.json"
     "$BUILD_DIR/tools/acmeair_cluster" --kernel epoll --loops 2 --serve \
@@ -245,8 +269,14 @@ print(f"ok   fault leg: {doc['req_per_sec']:.0f} req/s, "
       f"{doc['retries']:.0f} retries, 0 abandoned")
 EOF
     echo "== [check] fault leg OK"
+  }
+
+  if [ "$(uname -s)" = "Linux" ]; then
+    cmake --build "$BUILD_DIR" --target acmeair_cluster agload -j >/dev/null
+    leg "wire leg" wire_leg 9560
+    leg "fault leg" fault_leg
   else
-    echo "== [check] wire legs SKIPPED: the real kernel backends need" \
+    echo "== [check] wire legs SKIPPED: the epoll kernel backend needs" \
          "Linux (this is $(uname -s)); virtual-time legs above still ran"
   fi
 
@@ -257,63 +287,75 @@ EOF
   echo "== [check] building retirement_test + soak_steady_state"
   cmake --build "$ASAN_DIR" --target retirement_test soak_steady_state -j \
     >/dev/null
-  echo "== [check] running retirement tests under ASan"
-  # detect_leaks=0: the simulated network layer keeps sockets alive in
-  # closure cycles until process exit (a known property of the simulator,
-  # not of the graph). Use-after-free / overflow detection — what the
-  # freelist recycling needs — is unaffected.
-  ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/retirement_test"
-  echo "== [check] running short soak under ASan"
-  ASAN_OPTIONS=detect_leaks=0 \
-    "$ASAN_DIR/bench/soak_steady_state" --requests 1000 --clients 4 >/dev/null
-  echo "== [check] ASan retirement checks OK"
+  asan_retirement_leg() {
+    echo "== [check] running retirement tests under ASan"
+    # detect_leaks=0: the simulated network layer keeps sockets alive in
+    # closure cycles until process exit (a known property of the simulator,
+    # not of the graph). Use-after-free / overflow detection — what the
+    # freelist recycling needs — is unaffected.
+    ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/retirement_test"
+    echo "== [check] running short soak under ASan"
+    ASAN_OPTIONS=detect_leaks=0 \
+      "$ASAN_DIR/bench/soak_steady_state" --requests 1000 --clients 4 >/dev/null
+    echo "== [check] ASan retirement checks OK"
+  }
+  leg "ASan retirement leg" asan_retirement_leg
 
   echo "== [check] building trace codec leg (tests + micro_codec) under ASan"
   cmake --build "$ASAN_DIR" --target trace_replay_test trace_codec_v4_test \
     micro_codec -j >/dev/null
-  echo "== [check] running replay parity + decoder robustness under ASan"
-  ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/trace_replay_test"
-  ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/trace_codec_v4_test"
-  echo "== [check] running micro_codec --parity-only under ASan"
-  ASAN_OPTIONS=detect_leaks=0 \
-    "$ASAN_DIR/bench/micro_codec" --parity-only >/dev/null
-  echo "== [check] ASan trace codec checks OK"
+  asan_codec_leg() {
+    echo "== [check] running replay parity + decoder robustness under ASan"
+    ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/trace_replay_test"
+    ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/trace_codec_v4_test"
+    echo "== [check] running micro_codec --parity-only under ASan"
+    ASAN_OPTIONS=detect_leaks=0 \
+      "$ASAN_DIR/bench/micro_codec" --parity-only >/dev/null
+    echo "== [check] ASan trace codec checks OK"
+  }
+  leg "ASan trace codec leg" asan_codec_leg
 
   echo "== [check] building fault-injection leg (fault_kernel_test) under ASan"
   cmake --build "$ASAN_DIR" --target fault_kernel_test -j >/dev/null
-  echo "== [check] running fault injection + degradation ladder under ASan"
-  # The injected error paths (EINTR retries, short-write resubmission,
-  # reset teardown, ladder shedding) are exactly the branches normal runs
-  # never take; ASan is what turns "survives faults" into "survives faults
-  # without corrupting memory".
-  ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/fault_kernel_test"
-  echo "== [check] ASan fault injection checks OK"
+  asan_fault_leg() {
+    echo "== [check] running fault injection + degradation ladder under ASan"
+    # The injected error paths (EINTR retries, short-write resubmission,
+    # reset teardown, ladder shedding) are exactly the branches normal runs
+    # never take; ASan is what turns "survives faults" into "survives faults
+    # without corrupting memory".
+    ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/fault_kernel_test"
+    echo "== [check] ASan fault injection checks OK"
+  }
+  leg "ASan fault injection leg" asan_fault_leg
 
   # Ingest leg: replay through the CLI tools against the live build. Every
   # recorded case must ingest, at jobs 1 and 4, to the DOT asyncg_cli built
   # live while recording, with identical warnings at both job counts.
   # SO-31978347 is skipped: its post-run analysis marks the live graph with
   # a race that no trace records.
-  echo "== [check] ingest leg: asyncg_cli --record --dot vs agingest jobs 1/4"
-  cmake --build "$BUILD_DIR" --target asyncg_cli agingest -j >/dev/null
-  ingest_dir="$OUT_DIR/ingest_check"
-  mkdir -p "$ingest_dir"
-  for case_name in $("$BUILD_DIR/tools/asyncg_cli" --list | awk 'NR > 1 {print $1}'); do
-    [ "$case_name" = SO-31978347 ] && continue
-    trace="$ingest_dir/$case_name.agtrace"
-    "$BUILD_DIR/tools/asyncg_cli" --case "$case_name" --record "$trace" \
-      --dot "$ingest_dir/live.dot" --quiet >/dev/null
-    for jobs in 1 4; do
-      "$BUILD_DIR/tools/agingest" --in "$trace" --jobs "$jobs" \
-        --dot "$ingest_dir/jobs$jobs.dot" >"$ingest_dir/jobs$jobs.warn" \
-        2>/dev/null
-      cmp -s "$ingest_dir/live.dot" "$ingest_dir/jobs$jobs.dot" \
-        || { echo "FAIL: $case_name: agingest --jobs $jobs DOT diverged from the live build"; exit 1; }
+  ingest_leg() {
+    echo "== [check] ingest leg: asyncg_cli --record --dot vs agingest jobs 1/4"
+    ingest_dir="$OUT_DIR/ingest_check"
+    mkdir -p "$ingest_dir"
+    for case_name in $("$BUILD_DIR/tools/asyncg_cli" --list | awk 'NR > 1 {print $1}'); do
+      [ "$case_name" = SO-31978347 ] && continue
+      trace="$ingest_dir/$case_name.agtrace"
+      "$BUILD_DIR/tools/asyncg_cli" --case "$case_name" --record "$trace" \
+        --dot "$ingest_dir/live.dot" --quiet >/dev/null
+      for jobs in 1 4; do
+        "$BUILD_DIR/tools/agingest" --in "$trace" --jobs "$jobs" \
+          --dot "$ingest_dir/jobs$jobs.dot" >"$ingest_dir/jobs$jobs.warn" \
+          2>/dev/null
+        cmp -s "$ingest_dir/live.dot" "$ingest_dir/jobs$jobs.dot" \
+          || { echo "FAIL: $case_name: agingest --jobs $jobs DOT diverged from the live build"; exit 1; }
+      done
+      cmp -s "$ingest_dir/jobs1.warn" "$ingest_dir/jobs4.warn" \
+        || { echo "FAIL: $case_name: agingest warnings differ between jobs 1 and 4"; exit 1; }
     done
-    cmp -s "$ingest_dir/jobs1.warn" "$ingest_dir/jobs4.warn" \
-      || { echo "FAIL: $case_name: agingest warnings differ between jobs 1 and 4"; exit 1; }
-  done
-  echo "== [check] ingest parity leg OK"
+    echo "== [check] ingest parity leg OK"
+  }
+  cmake --build "$BUILD_DIR" --target asyncg_cli agingest -j >/dev/null
+  leg "ingest parity leg" ingest_leg
 
   TSAN_DIR="$BUILD_DIR-tsan"
   echo "== [check] configuring TSan build in $TSAN_DIR"
@@ -323,15 +365,25 @@ EOF
     "+ fault_kernel_test"
   cmake --build "$TSAN_DIR" --target spsc_ring_test cluster_test ingest_test \
     fault_kernel_test -j >/dev/null
-  echo "== [check] running SPSC ring tests under TSan"
-  "$TSAN_DIR/tests/spsc_ring_test"
-  echo "== [check] running multi-loop cluster tests under TSan"
-  "$TSAN_DIR/tests/cluster_test"
-  echo "== [check] running ingest decode pool + MpmcQueue tests under TSan"
-  "$TSAN_DIR/tests/ingest_test"
-  echo "== [check] running degradation-ladder tests under TSan"
-  "$TSAN_DIR/tests/fault_kernel_test" --gtest_filter='DegradationLadder.*'
-  echo "== [check] TSan concurrency checks OK"
+  tsan_leg() {
+    echo "== [check] running SPSC ring tests under TSan"
+    "$TSAN_DIR/tests/spsc_ring_test"
+    echo "== [check] running multi-loop cluster tests under TSan"
+    "$TSAN_DIR/tests/cluster_test"
+    echo "== [check] running ingest decode pool + MpmcQueue tests under TSan"
+    "$TSAN_DIR/tests/ingest_test"
+    echo "== [check] running degradation-ladder tests under TSan"
+    "$TSAN_DIR/tests/fault_kernel_test" --gtest_filter='DegradationLadder.*'
+    echo "== [check] TSan concurrency checks OK"
+  }
+  leg "TSan leg" tsan_leg
 fi
 
+if [ "${#FAILED[@]}" -ne 0 ]; then
+  echo "== bench smoke FAILED: ${#FAILED[@]} failure(s):"
+  for name in "${FAILED[@]}"; do
+    echo "   - $name"
+  done
+  exit 1
+fi
 echo "== bench smoke OK"
