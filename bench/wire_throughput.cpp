@@ -135,6 +135,12 @@ int main(int argc, char **argv) {
       Requests = static_cast<uint64_t>(std::atoll(argv[++I]));
     else if (!std::strcmp(argv[I], "--reps") && I + 1 < argc)
       Reps = std::atoi(argv[++I]);
+    else {
+      std::fprintf(stderr,
+                   "usage: %s [--requests N] [--reps N] [--json FILE]\n",
+                   argv[0]);
+      return 2;
+    }
   }
 
   benchjson::BenchReport Report("wire_throughput");

@@ -151,6 +151,70 @@ void AsyncGBuilder::ensureTick(PhaseKind Phase) {
 }
 
 //===----------------------------------------------------------------------===//
+// Pending registrations
+//===----------------------------------------------------------------------===//
+
+void AsyncGBuilder::addPending(FunctionId Fn, const PendingReg &Reg) {
+  uint32_t S = FreeSlot;
+  if (S != NoSlot) {
+    FreeSlot = slot(S).FnLinks.Next;
+  } else {
+    assert(SlotCount < NoSlot && "pending-registration slab overflow");
+    S = SlotCount++;
+    if ((S >> SlotChunkBits) == SlotChunks.size())
+      SlotChunks.push_back(
+          std::make_unique<PendingSlot[]>(size_t(1) << SlotChunkBits));
+  }
+  slot(S).Reg = Reg;
+  slot(S).Fn = Fn;
+  linkTail(ByFunction[Fn], &PendingSlot::FnLinks, S);
+  // Unbound registrations (timers, immediates, nextTick) are never
+  // released or removed by object, so they are not indexed by one.
+  if (Reg.BoundObj != 0)
+    linkTail(ByObject[Reg.BoundObj], &PendingSlot::ObjLinks, S);
+}
+
+void AsyncGBuilder::erasePending(uint32_t S) {
+  unlink(ByFunction, slot(S).Fn, &PendingSlot::FnLinks, S);
+  if (slot(S).Reg.BoundObj != 0)
+    unlink(ByObject, slot(S).Reg.BoundObj, &PendingSlot::ObjLinks, S);
+  slot(S).FnLinks.Next = FreeSlot;
+  FreeSlot = S;
+}
+
+void AsyncGBuilder::linkTail(SlotList &L, SlotLinks PendingSlot::*Links,
+                             uint32_t S) {
+  (slot(S).*Links).Prev = L.Tail;
+  (slot(S).*Links).Next = NoSlot;
+  if (L.Tail != NoSlot)
+    (slot(L.Tail).*Links).Next = S;
+  else
+    L.Head = S;
+  L.Tail = S;
+}
+
+void AsyncGBuilder::unlink(SlotIndex &Index, uint64_t Key,
+                           SlotLinks PendingSlot::*Links, uint32_t S) {
+  const SlotLinks &Ln = slot(S).*Links;
+  if (Ln.Prev != NoSlot)
+    (slot(Ln.Prev).*Links).Next = Ln.Next;
+  if (Ln.Next != NoSlot)
+    (slot(Ln.Next).*Links).Prev = Ln.Prev;
+  if (Ln.Prev != NoSlot && Ln.Next != NoSlot)
+    return; // an inner slot: the list's ends are unchanged
+  SlotList *L = Index.find(Key);
+  assert(L && "pending slot linked under a missing key");
+  if (Ln.Prev == NoSlot)
+    L->Head = Ln.Next;
+  if (Ln.Next == NoSlot)
+    L->Tail = Ln.Prev;
+  // Drop emptied keys so both indices stay proportional to what is
+  // genuinely pending.
+  if (L->Head == NoSlot)
+    Index.erase(Key);
+}
+
+//===----------------------------------------------------------------------===//
 // Node/edge plumbing
 //===----------------------------------------------------------------------===//
 
@@ -206,11 +270,11 @@ void AsyncGBuilder::onFunctionEnter(const instr::FunctionEnterEvent &E) {
 
   NodeId Ce = InvalidNode;
   if (Config.BuildGraph && !filtered(D.Api)) {
-    // Algorithm 3: map this execution to a pending registration.
-    if (std::vector<PendingReg> *RegsP = Pending.find(E.F.id())) {
-      auto &Regs = *RegsP;
-      for (size_t I = 0, N = Regs.size(); I != N; ++I) {
-        PendingReg &Reg = Regs[I];
+    // Algorithm 3: map this execution to the function's first valid
+    // pending registration, in registration order.
+    if (const SlotList *Regs = ByFunction.find(E.F.id())) {
+      for (uint32_t S = Regs->Head; S != NoSlot; S = slot(S).FnLinks.Next) {
+        const PendingReg &Reg = slot(S).Reg;
         if (!ContextValidator::isValid(Reg, D, CurTick.Phase))
           continue;
         assert(ContextValidator::contextMatches(Reg, D, CurTick.Phase) &&
@@ -241,11 +305,7 @@ void AsyncGBuilder::onFunctionEnter(const instr::FunctionEnterEvent &E) {
         ++Graph.node(Reg.Cr).ExecCount;
         if (Reg.Once) {
           unpinRegion(Reg.RegTick);
-          Regs.erase(Regs.begin() + static_cast<ptrdiff_t>(I));
-          // Drop the emptied key so the map stays proportional to the
-          // genuinely pending registrations.
-          if (Regs.empty())
-            Pending.erase(E.F.id());
+          erasePending(S);
         }
         break;
       }
@@ -330,7 +390,7 @@ void AsyncGBuilder::processRegistration(const instr::ApiCallEvent &E) {
     Reg.Event = E.EventName;
     Reg.RegTick = Graph.node(Cr).Tick;
     pinRegion(Reg.RegTick);
-    Pending[Cb.id()].push_back(std::move(Reg));
+    addPending(Cb.id(), Reg);
   }
 
   // Relation edge from the bound object's OB node (△ ⇠ □, labeled with the
@@ -376,58 +436,33 @@ void AsyncGBuilder::processCombinator(const instr::ApiCallEvent &E) {
 }
 
 void AsyncGBuilder::processRemoval(const instr::ApiCallEvent &E) {
-  // A removed registration can never fire: mark its CR, notify observers,
-  // and erase it from the pending lists (releasing its region pin).
-  if (E.Api == ApiKind::EmitterRemoveListener) {
-    if (!E.TriggerHadEffect || E.Callbacks.empty())
-      return;
-    FunctionId Fn = E.Callbacks.front().id();
-    std::vector<PendingReg> *Regs = Pending.find(Fn);
-    if (!Regs)
-      return;
-    for (size_t I = 0, N = Regs->size(); I != N; ++I) {
-      PendingReg &Reg = (*Regs)[I];
-      if (Reg.BoundObj != E.BoundObj || Reg.Event != E.EventName)
-        continue;
-      NodeId CrId = Reg.Cr;
-      Graph.node(CrId).Removed = true;
-      unpinRegion(Reg.RegTick);
-      Regs->erase(Regs->begin() + static_cast<ptrdiff_t>(I));
-      if (Regs->empty())
-        Pending.erase(Fn);
-      for (GraphObserver *O : Observers)
-        O->onRegistrationRemoved(*this, CrId);
-      return;
-    }
+  // A removed registration can never fire: mark its CR, erase it from the
+  // pending lists (releasing its region pin) and notify observers. Both
+  // removals walk only the emitter's own registrations, oldest first.
+  bool RemoveAll = E.Api == ApiKind::EmitterRemoveAll;
+  if (!RemoveAll && (E.Api != ApiKind::EmitterRemoveListener ||
+                     !E.TriggerHadEffect || E.Callbacks.empty()))
     return;
-  }
-
-  if (E.Api == ApiKind::EmitterRemoveAll) {
-    KeyScratch.clear();
-    for (auto &[Fn, Regs] : Pending) {
-      size_t W = 0;
-      for (size_t I = 0; I != Regs.size(); ++I) {
-        PendingReg &Reg = Regs[I];
-        if (Reg.BoundObj == E.BoundObj && Reg.Event == E.EventName) {
-          NodeId CrId = Reg.Cr;
-          Graph.node(CrId).Removed = true;
-          unpinRegion(Reg.RegTick);
-          for (GraphObserver *O : Observers)
-            O->onRegistrationRemoved(*this, CrId);
-          continue;
-        }
-        if (W != I)
-          Regs[W] = std::move(Regs[I]);
-        ++W;
-      }
-      Regs.resize(W);
-      if (Regs.empty())
-        KeyScratch.push_back(Fn);
-    }
-    // Erase emptied keys after the iteration: FlatMap must not be mutated
-    // while being walked.
-    for (FunctionId Fn : KeyScratch)
-      Pending.erase(Fn);
+  const SlotList *Regs = ByObject.find(E.BoundObj);
+  if (!Regs)
+    return;
+  // removeListener takes the earliest registration of its function.
+  FunctionId Fn = RemoveAll ? 0 : E.Callbacks.front().id();
+  for (uint32_t S = Regs->Head, Next; S != NoSlot; S = Next) {
+    const PendingSlot &Slot = slot(S);
+    Next = Slot.ObjLinks.Next;
+    if (Slot.Reg.Event != E.EventName || (!RemoveAll && Slot.Fn != Fn))
+      continue;
+    NodeId CrId = Slot.Reg.Cr;
+    Graph.node(CrId).Removed = true;
+    unpinRegion(Slot.Reg.RegTick);
+    // May erase the object's key, but only with its last slot, after
+    // which Next is NoSlot.
+    erasePending(S);
+    for (GraphObserver *O : Observers)
+      O->onRegistrationRemoved(*this, CrId);
+    if (!RemoveAll)
+      return;
   }
 }
 
@@ -513,28 +548,17 @@ void AsyncGBuilder::onObjectRelease(const instr::ObjectReleaseEvent &E) {
   // Every registration still bound to the object can never fire again:
   // give observers the definitive verdict, then erase it. This runs in
   // both modes so detector inputs are identical with and without --retire.
-  KeyScratch.clear();
-  for (auto &[Fn, Regs] : Pending) {
-    size_t W = 0;
-    for (size_t I = 0; I != Regs.size(); ++I) {
-      PendingReg &Reg = Regs[I];
-      if (Reg.BoundObj == E.Obj) {
-        NodeId CrId = Reg.Cr;
-        for (GraphObserver *O : Observers)
-          O->onRegistrationReleased(*this, CrId);
-        unpinRegion(Reg.RegTick);
-        continue;
-      }
-      if (W != I)
-        Regs[W] = std::move(Regs[I]);
-      ++W;
+  // Observers hear of them in registration order.
+  if (const SlotList *Regs = ByObject.find(E.Obj)) {
+    for (uint32_t S = Regs->Head, Next; S != NoSlot; S = Next) {
+      Next = slot(S).ObjLinks.Next;
+      NodeId CrId = slot(S).Reg.Cr;
+      for (GraphObserver *O : Observers)
+        O->onRegistrationReleased(*this, CrId);
+      unpinRegion(slot(S).Reg.RegTick);
+      erasePending(S);
     }
-    Regs.resize(W);
-    if (Regs.empty())
-      KeyScratch.push_back(Fn);
   }
-  for (FunctionId Fn : KeyScratch)
-    Pending.erase(Fn);
 
   NodeId Ob = Graph.objectNode(E.Obj);
   for (GraphObserver *O : Observers)
@@ -558,13 +582,13 @@ void AsyncGBuilder::onLoopEnd(const instr::LoopEndEvent &E) {
 
 size_t AsyncGBuilder::memoryFootprint() const {
   size_t Bytes = Graph.memoryFootprint();
-  Bytes += Pending.memoryUsage();
-  for (const auto &KV : Pending)
-    Bytes += KV.second.capacity() * sizeof(PendingReg);
+  Bytes += (SlotChunks.size() << SlotChunkBits) * sizeof(PendingSlot);
+  Bytes += SlotChunks.capacity() * sizeof(SlotChunks[0]);
+  Bytes += ByFunction.memoryUsage();
+  Bytes += ByObject.memoryUsage();
   Bytes += RegionPending.memoryUsage();
   Bytes += RegionOrdinal.memoryUsage();
   Bytes += Quiesced.capacity() * sizeof(uint32_t);
-  Bytes += KeyScratch.capacity() * sizeof(jsrt::FunctionId);
   Bytes += ShadowStack.capacity() * sizeof(jsrt::FunctionId);
   Bytes += CeStack.capacity() * sizeof(NodeId);
   Bytes += CurTick.Nodes.capacity() * sizeof(NodeId);

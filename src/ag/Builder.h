@@ -33,6 +33,7 @@
 #include "instr/Hooks.h"
 #include "support/FlatMap.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -103,9 +104,9 @@ public:
   uint64_t ticksCommitted() const { return CommittedCount; }
   /// @}
 
-  /// Bytes retained by the builder: the graph plus the validator's pending
-  /// lists and the retirement accounting. The global symbol table is
-  /// reported separately by symtab().memoryUsage().
+  /// Bytes retained by the builder: the graph plus the pending-registration
+  /// slab and its two indices, and the retirement accounting. The global
+  /// symbol table is reported separately by symtab().memoryUsage().
   size_t memoryFootprint() const;
 
   /// \name AnalysisBase hooks
@@ -153,6 +154,54 @@ private:
   void processCombinator(const instr::ApiCallEvent &E);
   void processRemoval(const instr::ApiCallEvent &E);
 
+  /// \name Pending registrations (Algorithm 3's L_pending^cb)
+  /// Every pending registration owns one slot of a builder-owned slab and
+  /// sits, in registration order, on two intrusive lists: its callback
+  /// function's, which the enter path walks, and (when BoundObj != 0) its
+  /// bound object's, which releases and removeAllListeners walk. Firing,
+  /// removal and release unlink a slot from both lists in O(1) and push
+  /// it on the freelist, so the steady state allocates nothing and a
+  /// release costs O(registrations bound to that object).
+  /// @{
+  static constexpr uint32_t NoSlot = ~static_cast<uint32_t>(0);
+  static constexpr uint32_t SlotChunkBits = 10;
+  struct SlotLinks {
+    uint32_t Prev = NoSlot;
+    uint32_t Next = NoSlot;
+  };
+  struct PendingSlot {
+    PendingReg Reg;
+    /// The callback function whose list holds this slot.
+    jsrt::FunctionId Fn = 0;
+    /// Links in the function's list; while the slot is free, Next threads
+    /// the freelist.
+    SlotLinks FnLinks;
+    /// Links in Reg.BoundObj's list; unused when Reg.BoundObj == 0.
+    SlotLinks ObjLinks;
+  };
+  /// First and last slot of one registration-ordered list.
+  struct SlotList {
+    uint32_t Head = NoSlot;
+    uint32_t Tail = NoSlot;
+  };
+  /// Function ids and object ids are both 64-bit, so one map type keys
+  /// either index.
+  using SlotIndex = FlatMap<uint64_t, SlotList>;
+
+  PendingSlot &slot(uint32_t S) {
+    return SlotChunks[S >> SlotChunkBits][S & ((1u << SlotChunkBits) - 1)];
+  }
+  /// Takes a free slot for \p Reg, a registration of callback \p Fn, and
+  /// appends it to the tail of both of its lists.
+  void addPending(jsrt::FunctionId Fn, const PendingReg &Reg);
+  /// Unlinks slot \p S from both of its lists, erasing keys whose list
+  /// emptied, and frees it. Slot indices other than \p S stay valid.
+  void erasePending(uint32_t S);
+  void linkTail(SlotList &L, SlotLinks PendingSlot::*Links, uint32_t S);
+  void unlink(SlotIndex &Index, uint64_t Key, SlotLinks PendingSlot::*Links,
+              uint32_t S);
+  /// @}
+
   /// \name Tick-epoch retirement accounting
   /// Each committed tick roots a region; RegionPending counts the
   /// obligations pinning it: one per pending registration whose CR lives
@@ -188,9 +237,18 @@ private:
   bool TickOpen = false;
   uint64_t TickCounter = 0;
 
-  /// The pending registration lists L_pending^cb, keyed by callback
-  /// function identity (flat-hash: probed on every function enter).
-  FlatMap<jsrt::FunctionId, std::vector<PendingReg>> Pending;
+  /// The pending-registration slab, in chunks of 2^SlotChunkBits slots.
+  /// Growing it never copies it, so its peak footprint is its size, not a
+  /// vector's old and new arrays at once. SlotCount slots have been handed
+  /// out; the free ones are on the list headed by FreeSlot.
+  std::vector<std::unique_ptr<PendingSlot[]>> SlotChunks;
+  uint32_t SlotCount = 0;
+  uint32_t FreeSlot = NoSlot;
+  /// The lists L_pending^cb, keyed by callback function identity
+  /// (flat-hash: probed on every function enter).
+  SlotIndex ByFunction;
+  /// The same registrations keyed by bound object.
+  SlotIndex ByObject;
 
   /// Obligation count per (committed or open) tick index; absent = zero.
   FlatMap<uint32_t, uint32_t> RegionPending;
@@ -205,9 +263,6 @@ private:
   /// retirement, so the map is proportional to the retained ticks.
   FlatMap<uint32_t, uint64_t> RegionOrdinal;
   uint64_t CommittedCount = 0;
-
-  /// Reusable scratch for FlatMap key collection during releases.
-  std::vector<jsrt::FunctionId> KeyScratch;
 
   /// Reusable label-building buffer: steady state allocates nothing.
   std::string Scratch;

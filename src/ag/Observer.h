@@ -58,6 +58,7 @@ public:
 
   /// A pending registration was explicitly removed (removeListener,
   /// removeAllListeners). \p Cr is the registration's CR node, still live.
+  /// removeAllListeners notifies its registrations in registration order.
   virtual void onRegistrationRemoved(AsyncGBuilder &B, NodeId Cr) {
     (void)B;
     (void)Cr;
@@ -67,7 +68,9 @@ public:
   /// to (its emitter or promise) was released: it can never fire again.
   /// \p Cr is the registration's CR node, still live — detectors can issue
   /// definitive (sticky) verdicts here. Fired once per released pending
-  /// registration, before the registration is erased.
+  /// registration, before the registration is erased, in registration
+  /// order; a CR with two callbacks (then(onF, onR)) holds two
+  /// registrations and is notified twice.
   virtual void onRegistrationReleased(AsyncGBuilder &B, NodeId Cr) {
     (void)B;
     (void)Cr;

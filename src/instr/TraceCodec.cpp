@@ -211,7 +211,10 @@ void TraceEncoder::loopEnd(const LoopEndEvent &E,
 // TraceDecoder
 //===----------------------------------------------------------------------===//
 
-TraceDecoder::TraceDecoder() { Funcs.reserve(256); }
+TraceDecoder::TraceDecoder()
+    : FuncPool(std::make_shared<std::deque<jsrt::FunctionData>>()) {
+  Funcs.reserve(256);
+}
 
 Symbol TraceDecoder::sym(uint32_t Raw) const {
   if (Remap.empty())
@@ -238,14 +241,16 @@ const jsrt::Function &TraceDecoder::funcFor(jsrt::FunctionId Id) {
   } else if (jsrt::Function *F = Funcs.find(Id)) {
     return *F;
   }
-  auto Data = std::make_shared<jsrt::FunctionData>();
-  Data->Id = Id;
+  jsrt::FunctionData &Data = FuncPool->emplace_back();
+  Data.Id = Id;
+  size_t Capacity = Funcs.capacity();
   jsrt::Function &Slot = Funcs[Id];
-  Slot = jsrt::Function(std::move(Data));
-  // The insertion may have rehashed Funcs; every memoized pointer is
-  // suspect now.
-  for (FnMemoEntry &E : FnMemo)
-    E = FnMemoEntry();
+  Slot = jsrt::Function(jsrt::FunctionRef(FuncPool, &Data));
+  // Inserting moves no other entry unless it rehashed Funcs; then every
+  // memoized pointer is stale.
+  if (Funcs.capacity() != Capacity)
+    for (FnMemoEntry &E : FnMemo)
+      E = FnMemoEntry();
   return Slot;
 }
 

@@ -34,6 +34,8 @@
 #include "support/FlatMap.h"
 #include "support/TraceFormat.h"
 
+#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,7 +118,7 @@ public:
   /// hoisting the per-record hash probe into the memo is one of the
   /// batch path's structural wins over record-at-a-time replay. The memo
   /// only caches entries already in Funcs and is invalidated whenever an
-  /// insertion could rehash the map, so cross-frame decoder state is
+  /// insertion rehashes the map, so cross-frame decoder state is
   /// unaffected.
   void decodeBatch(const trace::TraceRecord *Records, size_t N,
                    AnalysisBase &Sink);
@@ -151,10 +153,16 @@ private:
   const jsrt::Function &funcFor(jsrt::FunctionId Id);
 
   FlatMap<jsrt::FunctionId, jsrt::Function> Funcs;
+  /// Storage of every FunctionData this decoder made, contiguous instead
+  /// of one heap object per function id: a replay defines hundreds of
+  /// thousands, and freeing them one by one dominated decoder teardown.
+  /// Every handle in Funcs aliases this pool's control block, so a
+  /// Function that outlives the decoder keeps the whole pool alive.
+  std::shared_ptr<std::deque<jsrt::FunctionData>> FuncPool;
   std::vector<SymbolId> Remap;
 
   /// Direct-mapped function memo, live only inside a batch. Entries point
-  /// into Funcs, so any insertion (which may rehash) clears the memo. 128
+  /// into Funcs, so an insertion that rehashes it clears the memo. 128
   /// slots (2 KiB) cover the working set of callbacks a server workload
   /// cycles through per frame; at 16 the AcmeAir trace thrashed on
   /// conflict misses.

@@ -8,8 +8,11 @@
 #include "ag/Builder.h"
 #include "ag/Templates.h"
 #include "ag/Validator.h"
+#include "detect/Detectors.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace asyncg;
 using namespace asyncg::ag;
@@ -383,6 +386,147 @@ TEST(Builder, MainTickHoldsMainCe) {
   ASSERT_EQ(G.ticks().size(), 1u);
   EXPECT_EQ(G.ticks()[0].name(), "t1: main");
   EXPECT_EQ(G.node(G.ticks()[0].Nodes.front()).Kind, NodeKind::CE);
+}
+
+//===----------------------------------------------------------------------===//
+// Pending registrations: removal and release
+//===----------------------------------------------------------------------===//
+
+/// Records the builder's registration notifications (as CR source lines),
+/// the regions they pinned, and the regions that retired.
+struct RegistrationLog final : GraphObserver {
+  void onRegistrationRemoved(AsyncGBuilder &B, NodeId Cr) override {
+    Removed.push_back(B.graph().node(Cr).Loc.line());
+    RemovedTicks.insert(B.graph().node(Cr).Tick);
+  }
+  void onRegistrationReleased(AsyncGBuilder &B, NodeId Cr) override {
+    Released.push_back(B.graph().node(Cr).Loc.line());
+  }
+  void onObjectReleased(AsyncGBuilder &, NodeId, ObjectId, bool) override {
+    if (!AnyReleased)
+      RetiredAtFirstRelease = Retired;
+    AnyReleased = true;
+  }
+  void onRegionRetire(AsyncGBuilder &, uint32_t Tick) override {
+    Retired.insert(Tick);
+  }
+  std::vector<uint32_t> Removed, Released;
+  std::set<uint32_t> RemovedTicks, Retired, RetiredAtFirstRelease;
+  bool AnyReleased = false;
+};
+
+TEST(Builder, PromiseReleaseNotifiesInRegistrationOrder) {
+  AsyncGBuilder B;
+  RegistrationLog Log;
+  B.addObserver(&Log);
+  Runtime RT;
+  RT.hooks().attach(&B);
+  std::vector<std::string> Fired;
+  runMain(RT, [&Fired](Runtime &R) {
+    // Never settled: every reaction is still pending when P is released.
+    PromiseRef P = R.promiseBare(JSLINE("t.js", 1));
+    R.promiseThen(JSLINE("t.js", 2), P,
+                  recorder(R, Fired, "onF", JSLINE("t.js", 3)),
+                  recorder(R, Fired, "onR", JSLINE("t.js", 4)));
+    R.promiseCatch(JSLINE("t.js", 5), P,
+                   recorder(R, Fired, "onC", JSLINE("t.js", 6)));
+  });
+  EXPECT_TRUE(Fired.empty());
+  // then(onF, onR) is one CR holding two registrations: one notification
+  // each, onF's first, then catch's.
+  EXPECT_EQ(Log.Released, (std::vector<uint32_t>{2, 2, 5}));
+}
+
+/// Registers listeners of a shared function (s) and of distinct ones (a,
+/// b) on two emitters and two events, each immediate in its own tick,
+/// then calls removeAllListeners(e1, 'x') and emits every other pair.
+std::unique_ptr<AsyncGBuilder> runRemoveAll(BuilderConfig Cfg,
+                                            RegistrationLog &Log,
+                                            detect::DetectorSuite &Suite,
+                                            std::vector<std::string> &Fired) {
+  auto B = std::make_unique<AsyncGBuilder>(Cfg);
+  Suite.attachTo(*B);
+  B->addObserver(&Log);
+  Runtime RT;
+  RT.hooks().attach(B.get());
+  runMain(RT, [&Fired](Runtime &R) {
+    EmitterRef E1 = R.emitterCreate(JSLINE("t.js", 1));
+    EmitterRef E2 = R.emitterCreate(JSLINE("t.js", 2));
+    Function S = recorder(R, Fired, "s", JSLINE("t.js", 3));
+    Function A = recorder(R, Fired, "a", JSLINE("t.js", 4));
+    Function Bf = recorder(R, Fired, "b", JSLINE("t.js", 5));
+    R.emitterOn(JSLINE("t.js", 10), E1, "y", S);
+    R.emitterOn(JSLINE("t.js", 11), E2, "x", S);
+    auto Step = [&R](uint32_t Line, std::function<void(Runtime &)> Body) {
+      R.setImmediate(JSLINE("t.js", Line),
+                     R.makeFunction("step", JSLINE("t.js", Line),
+                                    [Body](Runtime &R2, const CallArgs &) {
+                                      Body(R2);
+                                      return Completion::normal();
+                                    }));
+    };
+    Step(12, [E1, S](Runtime &R2) {
+      R2.emitterOn(JSLINE("t.js", 20), E1, "x", S);
+    });
+    Step(13, [E1, A](Runtime &R2) {
+      R2.emitterOn(JSLINE("t.js", 21), E1, "y", A);
+    });
+    Step(14, [E1, A, Bf](Runtime &R2) {
+      R2.emitterOn(JSLINE("t.js", 22), E1, "x", A);
+      R2.emitterOn(JSLINE("t.js", 23), E1, "x", Bf);
+    });
+    Step(15, [E2, Bf](Runtime &R2) {
+      R2.emitterOn(JSLINE("t.js", 24), E2, "y", Bf);
+    });
+    Step(16, [E1, E2](Runtime &R2) {
+      R2.emitterRemoveAll(JSLINE("t.js", 30), E1, "x");
+      R2.emitterEmit(JSLINE("t.js", 31), E1, "y");
+      R2.emitterEmit(JSLINE("t.js", 32), E2, "x");
+      R2.emitterEmit(JSLINE("t.js", 33), E2, "y");
+    });
+  });
+  return B;
+}
+
+TEST(Builder, RemoveAllListenersRemovesOnlyItsEventsRegistrations) {
+  RegistrationLog Log;
+  detect::DetectorSuite Suite;
+  std::vector<std::string> Fired;
+  auto B = runRemoveAll(BuilderConfig(), Log, Suite, Fired);
+
+  // Notified oldest first: the shared function's registration, then a's
+  // and b's.
+  EXPECT_EQ(Log.Removed, (std::vector<uint32_t>{20, 22, 23}));
+  std::vector<uint32_t> MarkedRemoved;
+  for (const AgNode &N : B->graph().nodes())
+    if (N.Kind == NodeKind::CR && N.Removed)
+      MarkedRemoved.push_back(N.Loc.line());
+  EXPECT_EQ(MarkedRemoved, (std::vector<uint32_t>{20, 22, 23}));
+  // Every other listener still fires, in its emitter's listener order.
+  EXPECT_EQ(Fired, (std::vector<std::string>{"s", "a", "s", "b"}));
+  for (const Warning &W : B->graph().warnings())
+    EXPECT_NE(W.Category, BugCategory::DeadListener) << W.Loc.line();
+}
+
+TEST(Builder, RemoveAllListenersUnpinsTheirRegions) {
+  BuilderConfig Cfg;
+  Cfg.Retire = true;
+  Cfg.RetainWindow = 1;
+  RegistrationLog Log;
+  detect::DetectorSuite Suite;
+  std::vector<std::string> Fired;
+  auto B = runRemoveAll(Cfg, Log, Suite, Fired);
+
+  EXPECT_EQ(Log.Removed, (std::vector<uint32_t>{20, 22, 23}));
+  EXPECT_EQ(Fired, (std::vector<std::string>{"s", "a", "s", "b"}));
+  // The two immediates that registered only removed listeners root
+  // regions nothing else pins: both retire before any emitter is
+  // released.
+  ASSERT_EQ(Log.RemovedTicks.size(), 2u);
+  for (uint32_t Tick : Log.RemovedTicks)
+    EXPECT_TRUE(Log.RetiredAtFirstRelease.count(Tick)) << Tick;
+  for (const Warning &W : B->graph().warnings())
+    EXPECT_NE(W.Category, BugCategory::DeadListener) << W.Loc.line();
 }
 
 //===----------------------------------------------------------------------===//

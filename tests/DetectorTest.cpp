@@ -162,6 +162,29 @@ TEST(DetectDeadListener, QuietWhenExecutedOrRemoved) {
   EXPECT_FALSE(S.count(BugCategory::DeadListener));
 }
 
+TEST(DetectDeadListener, ReleaseReportsInRegistrationOrder) {
+  // The builder hands a released emitter's pending listeners to observers
+  // in registration order, so its sticky verdicts come out in that order.
+  Runtime RT;
+  AsyncGBuilder Builder;
+  detect::DetectorSuite Suite;
+  Suite.attachTo(Builder);
+  RT.hooks().attach(&Builder);
+  runMain(RT, [](Runtime &R) {
+    EmitterRef E = R.emitterCreate(JSLINE("d.js", 1));
+    for (uint32_t Line = 10; Line != 18; ++Line)
+      R.emitterOn(JSLINE("d.js", Line), E, "never", noop(R, "l", Line));
+  });
+  std::vector<uint32_t> Lines;
+  for (const Warning &W : Builder.graph().warnings()) {
+    if (W.Category != BugCategory::DeadListener)
+      continue;
+    EXPECT_TRUE(W.Sticky);
+    Lines.push_back(W.Loc.line());
+  }
+  EXPECT_EQ(Lines, (std::vector<uint32_t>{10, 11, 12, 13, 14, 15, 16, 17}));
+}
+
 TEST(DetectDeadEmit, FiresAndIsQuietAfterListenerExists) {
   auto S = detect([](Runtime &R) {
     EmitterRef E = R.emitterCreate(JSLINE("d.js", 1));

@@ -21,7 +21,9 @@
 ///    before the damage; only images cut inside the 8-byte magic still
 ///    fail, with a clean error. The bench smoke --check leg runs this suite
 ///    under sanitizers, which is what turns "no out-of-bounds read" into an
-///    enforced property.
+///    enforced property;
+///  - decoder-owned functions: a Function handed out by a TraceDecoder
+///    stays readable after the decoder is destroyed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +39,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -435,6 +438,67 @@ TEST_F(Robustness, GarbageRecordSectionRecoversEmptyPrefix) {
   EXPECT_TRUE(R.Recovered);
   EXPECT_EQ(R.Records, 0u);
   EXPECT_GT(R.DroppedTailBytes, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Decoder-owned functions
+//===----------------------------------------------------------------------===//
+
+/// Keeps every Function handle the decoder hands out.
+struct FunctionKeeper final : instr::AnalysisBase {
+  const char *analysisName() const override { return "function-keeper"; }
+  void onFunctionEnter(const instr::FunctionEnterEvent &E) override {
+    Kept.push_back(E.F);
+  }
+  std::vector<jsrt::Function> Kept;
+};
+
+trace::TraceRecord funcRecord(trace::TraceOp Op, uint64_t Id) {
+  trace::TraceRecord R;
+  R.Op = static_cast<uint8_t>(Op);
+  R.D64 = Id;
+  if (Op == trace::TraceOp::FuncDef) {
+    R.C32 = Symbol("fn" + std::to_string(Id)).id();
+    R.F64 = trace::packLoc(Symbol("keep.js").id(), static_cast<uint32_t>(Id));
+  }
+  return R;
+}
+
+TEST(DecoderFunctions, OutliveTheDecoderAndItsRehashes) {
+  // The decoder's functions live in one pool it shares with every handle
+  // it gives out. Functions 1-4 are re-entered after each new definition,
+  // so the batch memo serves them across every rehash of the function
+  // table (1,000 ids outgrow the initial 256-entry reservation). They sit
+  // in four memo slots, so the new id that triggers a rehash cannot
+  // refresh all of them; a stale memo would hand out freed storage, which
+  // the ASan codec leg reports.
+  const uint64_t N = 1000;
+  FunctionKeeper Sink;
+  std::vector<uint64_t> Entered;
+  {
+    std::vector<trace::TraceRecord> Records;
+    for (uint64_t Id = 1; Id <= N; ++Id) {
+      Records.push_back(funcRecord(trace::TraceOp::FuncDef, Id));
+      for (uint64_t Run = 1; Run <= std::min<uint64_t>(Id, 4); ++Run) {
+        Records.push_back(funcRecord(trace::TraceOp::Enter, Run));
+        Records.push_back(funcRecord(trace::TraceOp::Exit, Run));
+        Entered.push_back(Run);
+      }
+      Records.push_back(funcRecord(trace::TraceOp::Enter, Id));
+      Records.push_back(funcRecord(trace::TraceOp::Exit, Id));
+      Entered.push_back(Id);
+    }
+    instr::TraceDecoder Decoder;
+    Decoder.decodeBatch(Records.data(), Records.size(), Sink);
+    EXPECT_EQ(Decoder.badRecords(), 0u);
+  }
+  ASSERT_EQ(Sink.Kept.size(), Entered.size());
+  for (size_t I = 0; I != Entered.size(); ++I) {
+    const jsrt::Function &F = Sink.Kept[I];
+    EXPECT_EQ(F.id(), Entered[I]);
+    EXPECT_EQ(F.name(), "fn" + std::to_string(Entered[I]));
+    EXPECT_EQ(F.loc().line(), Entered[I]);
+  }
 }
 
 } // namespace

@@ -31,9 +31,11 @@
 #     every request completed with none abandoned, plus the same SIGTERM
 #     clean-shutdown check — a faulted server must still drain and exit 0;
 #   - configures an ASan+UBSan build (-DASYNCG_ASAN=ON) and runs the
-#     retirement test suite plus the short soak under it: the retirement
-#     freelists recycle node/edge/adjacency storage, which is exactly the
-#     kind of code ASan exists for;
+#     retirement, builder, detector and property test suites plus the
+#     short soak under it: the retirement freelists recycle
+#     node/edge/adjacency storage and the builder's pending-registration
+#     slab recycles its slots, which is exactly the kind of code ASan
+#     exists for;
 #   - runs the trace-codec leg under the same ASan build: the replay
 #     parity + decoder robustness suites (trace_replay_test,
 #     trace_codec_v4_test — truncated/bit-flipped traces through the one
@@ -284,9 +286,10 @@ EOF
   echo "== [check] configuring ASan+UBSan build in $ASAN_DIR"
   cmake -S "$REPO_ROOT" -B "$ASAN_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DASYNCG_ASAN=ON >/dev/null
-  echo "== [check] building retirement_test + soak_steady_state"
-  cmake --build "$ASAN_DIR" --target retirement_test soak_steady_state -j \
-    >/dev/null
+  echo "== [check] building retirement_test, builder/detector/property" \
+    "tests + soak_steady_state"
+  cmake --build "$ASAN_DIR" --target retirement_test builder_test \
+    detector_test property_test soak_steady_state -j >/dev/null
   asan_retirement_leg() {
     echo "== [check] running retirement tests under ASan"
     # detect_leaks=0: the simulated network layer keeps sockets alive in
@@ -294,6 +297,12 @@ EOF
     # not of the graph). Use-after-free / overflow detection — what the
     # freelist recycling needs — is unaffected.
     ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/retirement_test"
+    # The builder's pending-registration slab reuses freed slots: the
+    # builder, detector and property suites drive its link/unlink paths.
+    echo "== [check] running builder, detector and property tests under ASan"
+    ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/builder_test"
+    ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/detector_test"
+    ASAN_OPTIONS=detect_leaks=0 "$ASAN_DIR/tests/property_test"
     echo "== [check] running short soak under ASan"
     ASAN_OPTIONS=detect_leaks=0 \
       "$ASAN_DIR/bench/soak_steady_state" --requests 1000 --clients 4 >/dev/null
